@@ -105,15 +105,6 @@ const SolverRegistry& default_registry() {
       options.relaxation.frank_wolfe = LegacyV1FwBudget();
       return std::make_unique<RandomScheduleSolver>(options, "dcfsr_classic");
     });
-    // Alias kept for grid compatibility: the adaptive parallel oracle
-    // is the default since v2, so dcfsr_mt now differs from dcfsr only
-    // in name (both are byte-identical at any thread count).
-    r.add("dcfsr_mt", [] {
-      RandomScheduleOptions options;
-      options.relaxation.frank_wolfe = CalibratedFwBudget();
-      options.relaxation.frank_wolfe.oracle_threads = 0;
-      return std::make_unique<RandomScheduleSolver>(options, "dcfsr_mt");
-    });
     r.add("ecmp_mcf", [] { return std::make_unique<EcmpMcfSolver>(); });
     r.add("greedy", [] { return std::make_unique<GreedySolver>(); });
     r.add("edf", [] { return std::make_unique<EdfSolver>(); });
@@ -174,8 +165,8 @@ const SolverRegistry& default_registry() {
     // per group, a serial core-link coordinator arbitrating commits
     // against the global load index. shards = 0 means one lane per
     // group; the output is byte-identical for any shard count >= 2 and
-    // any worker count (topologies with a single source group delegate
-    // to the flat loop).
+    // any worker count (topologies with a single source group run the
+    // single-group plan, i.e. online_dcfsr).
     r.add("online_dcfsr_sharded", [] {
       OnlineOptions options;
       options.rounding.relaxation.frank_wolfe = CalibratedFwBudget();

@@ -49,7 +49,7 @@ class SolverRegistry {
 };
 
 /// All solvers of the library under their canonical names:
-/// mcf, mcf_paper, mcf_plain, dcfsr, dcfsr_mt, sp_mcf (alias of mcf),
+/// mcf, mcf_paper, mcf_plain, dcfsr, sp_mcf (alias of mcf),
 /// ecmp_mcf, greedy, edf, exact, online_dcfsr, online_dcfsr_id (the
 /// legacy online configuration — id-order fallback, classic warm
 /// steps, no departures fast path — kept as the A/B baseline),

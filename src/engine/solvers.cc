@@ -279,7 +279,7 @@ OnlineShardedSolver::OnlineShardedSolver(OnlineOptions options,
 
 SolverOutcome OnlineShardedSolver::solve(const Instance& instance) const {
   // Same stream key as the rest of the dcfsr family: the single-lane
-  // delegating case is then online_dcfsr draw for draw.
+  // case is then online_dcfsr draw for draw.
   Rng rng = solver_rng(instance, "dcfsr");
   const ShardPlan plan =
       ShardPlan::by_source_group(instance.topology(), shards_);

@@ -61,9 +61,8 @@ class McfSolver final : public Solver {
 };
 
 /// Random-Schedule (Algorithm 2): relaxation + randomized rounding.
-/// Variants (e.g. dcfsr_mt with the parallel Frank-Wolfe oracle) share
-/// the algorithm's rng stream, so every variant produces byte-identical
-/// outcomes — only the wall-clock differs.
+/// The outcome is byte-identical for any Frank-Wolfe oracle thread
+/// count — only the wall-clock differs.
 class RandomScheduleSolver final : public Solver {
  public:
   explicit RandomScheduleSolver(RandomScheduleOptions options = {},
@@ -161,12 +160,12 @@ class OnlineDcfsrSolver final : public Solver {
 /// (src/online/sharded.h): flows partitioned by source edge-group, one
 /// long-lived shard worker per group (phase A runs groups in parallel
 /// across `workers` lanes), a serial core-link coordinator arbitrating
-/// every commit against the global load index in deterministic
+/// every commit against the one load index in deterministic
 /// (event-time, shard-id, flow-id) order. Byte-identical for any shard
-/// count >= 2 and any worker count; single-lane plans delegate to
-/// online_dcfsr outright. The rng is keyed to "dcfsr" like every
-/// dcfsr-family solver (the delegating case then matches the flat
-/// solver's stream draw for draw).
+/// count >= 2 and any worker count; single-lane plans run as
+/// online_dcfsr. The rng is keyed to "dcfsr" like every dcfsr-family
+/// solver (the single-lane case then matches online_dcfsr's stream
+/// draw for draw).
 class OnlineShardedSolver final : public Solver {
  public:
   /// `shards` = requested lane count (0: one lane per source group);

@@ -1,14 +1,11 @@
 // The event/admission core shared by every online scheduler TU.
 //
-// These are the admission primitives the 1100-line online_scheduler.cc
-// monolith kept in one anonymous namespace, now a header so the split
-// translation units (online_dcfsr.cc, oracle_dcfsr.cc, online_greedy.cc,
-// edf_fill.cc, rerate.h, sharded.cc) share one definition. Everything
-// capacity-facing is templated on the load-index type: the flat loop
-// probes a single EdgeLoadIndex, the sharded service probes a
-// ShardedLoadIndex that routes each edge to its owning shard or the
-// core-link coordinator — same probe semantics, different storage
-// partition. This header is internal to src/online; the public surface
+// The admission primitives the online policies share — reachability
+// screening, the fallback orders, the capacity probes and commits
+// against the committed-load EdgeLoadIndex — with one definition for
+// sharded.cc (the event loop behind online_dcfsr and the sharded
+// service), oracle_dcfsr.cc, online_greedy.cc, edf_fill.cc and
+// rerate.h. This header is internal to src/online; the public surface
 // stays online_scheduler.h.
 #pragma once
 
@@ -22,6 +19,7 @@
 #include "flow/flow.h"
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
+#include "online/load_index.h"
 #include "online/online_scheduler.h"
 #include "schedule/schedule.h"
 
@@ -116,9 +114,8 @@ inline std::vector<std::size_t> arrival_order(const std::vector<Flow>& flows) {
 /// is the index's max_within — cached prefix values plus a block-max
 /// overlay over the live (unpruned) region, so the probe cost is bounded
 /// by the in-flight history even after thousands of commits.
-template <typename Index>
-bool rate_fits(const Index& load, const Path& path, const Interval& span,
-               double rate, double capacity) {
+inline bool rate_fits(const EdgeLoadIndex& load, const Path& path,
+                      const Interval& span, double rate, double capacity) {
   const double limit = capacity * (1.0 + kCapacitySlack);
   if (rate > limit) return false;
   for (const EdgeId e : path.edges) {
@@ -141,9 +138,8 @@ inline void record_commit(OnlineResult& out, std::size_t i, Path path,
 
 /// Commits `segments` on `path` for flow `i`: records the flow schedule
 /// and adds every segment to the per-edge load index.
-template <typename Index>
-void commit(OnlineResult& out, Index& load, std::size_t i, Path path,
-            std::vector<RateSegment> segments) {
+inline void commit(OnlineResult& out, EdgeLoadIndex& load, std::size_t i,
+                   Path path, std::vector<RateSegment> segments) {
   record_commit(out, i, std::move(path), std::move(segments));
   const FlowSchedule& fs = out.schedule.flows[i];
   for (const RateSegment& seg : fs.segments) {
@@ -183,9 +179,9 @@ inline std::vector<RateSegment> future_segments(const FlowSchedule& fs,
 /// True when re-adding `segments` on `path` keeps every edge within
 /// capacity against the committed `load` (the segments themselves are
 /// not yet in the index).
-template <typename Index>
-bool segments_fit(const Index& load, const Path& path,
-                  const std::vector<RateSegment>& segments, double capacity) {
+inline bool segments_fit(const EdgeLoadIndex& load, const Path& path,
+                         const std::vector<RateSegment>& segments,
+                         double capacity) {
   const double limit = capacity * (1.0 + kCapacitySlack);
   for (const RateSegment& seg : segments) {
     for (const EdgeId e : path.edges) {
@@ -193,69 +189,6 @@ bool segments_fit(const Index& load, const Path& path,
     }
   }
   return true;
-}
-
-/// Indexed EDF fill, templated on the load-index type (see the public
-/// edf_fill overload in online_scheduler.h for the contract): same
-/// elementary-piece packing as the StepFunction reference, but the cut
-/// collection walks only the merged segments overlapping `span`
-/// (for_each_segment_from stops at the first run starting past span.hi)
-/// and the per-piece load probes are O(log live) index lookups. Runs
-/// the index enumerates that the reference's full segments() scan would
-/// also visit but that end at or before span.lo — or start at or past
-/// span.hi — contribute no cuts under the strict window filters, so the
-/// cut set matches the reference exactly; in audit mode (an index whose
-/// shadow() is non-null) the whole fill is cross-checked against the
-/// reference on the naive shadow.
-template <typename Index>
-std::vector<RateSegment> edf_fill_over(const Index& load, const Path& path,
-                                       const Interval& span, double volume,
-                                       double capacity) {
-  std::vector<double> cuts{span.lo, span.hi};
-  for (const EdgeId e : path.edges) {
-    load.for_each_segment_from(e, span.lo, [&](const Interval& iv, double) {
-      if (iv.lo >= span.hi) return false;
-      if (iv.lo > span.lo && iv.lo < span.hi) cuts.push_back(iv.lo);
-      if (iv.hi > span.lo && iv.hi < span.hi) cuts.push_back(iv.hi);
-      return true;
-    });
-  }
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-
-  std::vector<RateSegment> segments;
-  double remaining = volume;
-  for (std::size_t k = 0; k + 1 < cuts.size() && remaining > 0.0; ++k) {
-    const Interval piece{cuts[k], cuts[k + 1]};
-    double used = 0.0;
-    for (const EdgeId e : path.edges) {
-      used = std::max(used, load.value_at(e, piece.lo));
-    }
-    const double avail = capacity - used;
-    if (avail <= kCapacitySlack * std::max(1.0, capacity)) continue;
-    const double takeable = avail * piece.measure();
-    if (takeable >= remaining) {
-      segments.push_back({{piece.lo, piece.lo + remaining / avail}, avail});
-      remaining = 0.0;
-    } else {
-      segments.push_back({piece, avail});
-      remaining -= takeable;
-    }
-  }
-  if (remaining > 1e-9 * std::max(1.0, volume)) segments.clear();
-  if (const std::vector<StepFunction>* shadow = load.shadow()) {
-    // Bitwise differential against the reference fill on the naive
-    // shadow profiles: same cuts, same rates, same early exit.
-    const std::vector<RateSegment> ref =
-        edf_fill(*shadow, path, span, volume, capacity);
-    DCN_ENSURES(segments.size() == ref.size());
-    for (std::size_t k = 0; k < segments.size(); ++k) {
-      DCN_ENSURES(segments[k].interval.lo == ref[k].interval.lo);
-      DCN_ENSURES(segments[k].interval.hi == ref[k].interval.hi);
-      DCN_ENSURES(segments[k].rate == ref[k].rate);
-    }
-  }
-  return segments;
 }
 
 }  // namespace online_impl

@@ -1,6 +1,6 @@
 // The event-stream layer of the online scheduling service.
 //
-// The flat event loop replays a pre-materialized trace; a long-lived
+// The batch API replays a pre-materialized trace; a long-lived
 // service absorbs arrivals it has never seen as a vector. EventStream
 // is the seam between the two: the scheduler pulls arrivals one at a
 // time (releases non-decreasing) and never needs the whole trace in

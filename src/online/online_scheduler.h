@@ -36,6 +36,10 @@
 //     volume by its deadline within capacity, or the whole pass rolls
 //     back bitwise and the arrival is rejected (cf. PDQ's deadline-
 //     aware preemptive re-rating).
+//   * One event loop runs it: ShardedScheduler (sharded.h).
+//     online_dcfsr is that loop on a single-group plan drawing from the
+//     caller's rng; online_dcfsr_sharded and the always-on service run
+//     it on a per-source-pod plan.
 //   * The event loop is indexed: admitted in-flight flows live in a
 //     deadline-ordered active set, so each event touches O(active +
 //     log n) state — completions pop off the front, the residual

@@ -1,11 +1,9 @@
 // The preemption/re-rate transaction (OnlineOptions::allow_rerate).
 //
-// Split out of the online monolith as its own unit: the deadline-safe
-// PDQ-style pass that reshapes in-flight flows' *future* rate profiles
-// behind a commit barrier. Templated on the load-index type so the flat
-// event loop (EdgeLoadIndex) and the sharded service (ShardedLoadIndex,
-// one pass per shard over the shard's own active set against the global
-// index) run the identical transaction.
+// The deadline-safe PDQ-style pass that reshapes in-flight flows'
+// *future* rate profiles behind a commit barrier. The event loop
+// (sharded.cc) runs it in phase B, over the arriving flow's group's
+// in-flight set, against the scheduler's one EdgeLoadIndex.
 #pragma once
 
 #include <cstddef>
@@ -48,13 +46,13 @@ namespace online_impl {
 /// residual demands are computed from the committed profile, not the
 /// density invariant. Consumes no rng: given the same index state the
 /// pass is deterministic.
-template <typename Index>
-bool try_rerate(OnlineResult& out, Index& load, const std::vector<Flow>& flows,
-                const std::set<std::pair<double, std::size_t>>& active,
-                double now, double capacity, std::size_t arrival,
-                const Path& path, std::vector<char>& rerated,
-                std::vector<SparseEdgeFlow>& warm,
-                std::vector<AtomSet>& warm_atoms) {
+inline bool try_rerate(OnlineResult& out, EdgeLoadIndex& load,
+                       const std::vector<Flow>& flows,
+                       const std::set<std::pair<double, std::size_t>>& active,
+                       double now, double capacity, std::size_t arrival,
+                       const Path& path, std::vector<char>& rerated,
+                       std::vector<SparseEdgeFlow>& warm,
+                       std::vector<AtomSet>& warm_atoms) {
   const Flow& fl = flows[arrival];
   ++out.rerate_attempts;
 
@@ -145,7 +143,7 @@ bool try_rerate(OnlineResult& out, Index& load, const std::vector<Flow>& flows,
       repacked[readmitted] = {{window, flat}};
     } else {
       repacked[readmitted] =
-          edf_fill_over(load, cpath, window, c.remaining, capacity);
+          edf_fill(load, cpath, window, c.remaining, capacity);
       if (repacked[readmitted].empty()) {
         feasible = false;
         break;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/contracts.h"
-
 namespace dcn {
 
 ShardPlan ShardPlan::by_source_group(const Topology& topo,
@@ -38,52 +36,18 @@ ShardPlan ShardPlan::by_source_group(const Topology& topo,
   }
   plan.num_groups_ = static_cast<std::int32_t>(keys.size());
 
-  // Edge ownership: a host's out-edges (uplinks) are private to its
-  // group — hosts are leaves, so no path transits a host and only flows
-  // sourced there ever load those edges. Everything else (aggregation,
-  // core, and every downlink, which inbound traffic from any group can
-  // load) is coordinator-owned.
-  plan.edge_owner_.assign(static_cast<std::size_t>(g.num_edges()), -1);
-  const auto edges = g.edges();
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const NodeId src = edges[static_cast<std::size_t>(e)].src;
-    plan.edge_owner_[static_cast<std::size_t>(e)] =
-        plan.host_group_[static_cast<std::size_t>(src)];
-  }
-
   plan.num_lanes_ = num_shards <= 0
                         ? std::max(plan.num_groups_, 1)
                         : std::min(num_shards, std::max(plan.num_groups_, 1));
   return plan;
 }
 
-ShardedLoadIndex::ShardedLoadIndex(const ShardPlan& plan,
-                                   std::int32_t num_edges, bool audit)
-    : owner_(&plan.edge_owner()), coordinator_(num_edges, audit) {
-  DCN_EXPECTS(static_cast<std::int32_t>(owner_->size()) == num_edges);
-  privates_.reserve(static_cast<std::size_t>(plan.num_groups()));
-  for (std::int32_t gid = 0; gid < plan.num_groups(); ++gid) {
-    privates_.emplace_back(num_edges, audit);
-  }
-}
-
-void ShardedLoadIndex::advance_low_water(double t) {
-  for (EdgeLoadIndex& idx : privates_) idx.advance_low_water(t);
-  coordinator_.advance_low_water(t);
-}
-
-std::int32_t ShardedLoadIndex::peak_live_segments() const {
-  std::int32_t peak = coordinator_.peak_live_segments();
-  for (const EdgeLoadIndex& idx : privates_) {
-    peak = std::max(peak, idx.peak_live_segments());
-  }
-  return peak;
-}
-
-std::int64_t ShardedLoadIndex::segments_pruned() const {
-  std::int64_t total = coordinator_.segments_pruned();
-  for (const EdgeLoadIndex& idx : privates_) total += idx.segments_pruned();
-  return total;
+ShardPlan ShardPlan::single_group(const Graph& g) {
+  ShardPlan plan;
+  plan.host_group_.assign(static_cast<std::size_t>(g.num_nodes()), 0);
+  plan.num_groups_ = 1;
+  plan.num_lanes_ = 1;
+  return plan;
 }
 
 }  // namespace dcn

@@ -1,35 +1,26 @@
 // The shard layer of the online scheduling service: a topology-fixed
-// partition of flows by source edge-group, and the load-index storage
-// split it induces.
+// partition of flows by source edge-group.
 //
 // ShardPlan groups hosts by their attachment (edge) switch — the
 // pod-local unit RCD's near-deadline locality argument justifies — and
-// assigns each group to an execution lane (lane = group % shards).
+// caps how many groups run concurrently (the lane count).
 // Crucially the *decomposition* is a function of the topology alone:
 // shard and worker counts only choose how many groups run concurrently,
 // never which flows share a relaxation, so the sharded scheduler's
 // output is byte-identical for any shard count >= 2 and any worker
-// count (the BatchRunner house rule).
+// count (the BatchRunner house rule). The plan partitions solve work
+// only: committed load lives in the scheduler's one EdgeLoadIndex,
+// which only the serial coordinator reads or writes.
 //
-// ShardedLoadIndex partitions committed-load storage by edge ownership:
-// a host's uplink (host -> edge switch) is traversed only by flows
-// sourced at that host (hosts are leaves — leaf-free transit means no
-// path crosses a host), so those edges are private to the source's
-// group and live in the group's own EdgeLoadIndex; every other edge —
-// aggregation, core, and the downlinks that inbound traffic from any
-// group can load — belongs to the core-link coordinator's index. Every
-// edge lives in exactly one sub-index, so each edge's LoadProfile sees
-// the identical add/retract/prune sequence a single EdgeLoadIndex
-// would: probes are bitwise-equal to the unsharded index by
-// construction, and capacity soundness never depends on the ownership
-// split (the router sends every probe to the owning sub-index).
+// single_group is the degenerate plan — every node in group 0, one
+// lane — on which the scheduler is the plain event loop (online_dcfsr).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "flow/flow.h"
-#include "online/load_index.h"
+#include "graph/graph.h"
 #include "topology/topology.h"
 
 namespace dcn {
@@ -39,17 +30,21 @@ class ShardPlan {
   /// Partition by source edge-group (attachment switch). `num_shards`
   /// is the requested lane count: 0 means one lane per group, values
   /// above the group count are clamped, and 1 yields a single-lane plan
-  /// (the sharded scheduler delegates that case to the flat loop so "1
-  /// shard" matches online_dcfsr_flat byte for byte).
+  /// (online_dcfsr_sharded runs that case on single_group, so "1 shard"
+  /// matches online_dcfsr_flat byte for byte).
   [[nodiscard]] static ShardPlan by_source_group(const Topology& topo,
                                                  std::int32_t num_shards);
+
+  /// One group holding every node of `g`, one lane.
+  [[nodiscard]] static ShardPlan single_group(const Graph& g);
 
   /// Distinct source groups (edge switches with attached hosts).
   [[nodiscard]] std::int32_t num_groups() const { return num_groups_; }
   /// Execution lanes — the effective shard count (concurrency cap).
   [[nodiscard]] std::int32_t num_lanes() const { return num_lanes_; }
 
-  /// Group of a host node; -1 for non-hosts.
+  /// Group of a node; -1 for non-hosts (single_group maps every node
+  /// to 0).
   [[nodiscard]] std::int32_t group_of_host(NodeId host) const {
     return host_group_[static_cast<std::size_t>(host)];
   }
@@ -57,81 +52,10 @@ class ShardPlan {
     return group_of_host(fl.src);
   }
 
-  /// Owning group of each edge: g for group g's private host uplinks,
-  /// -1 for coordinator-owned (shared) edges.
-  [[nodiscard]] const std::vector<std::int32_t>& edge_owner() const {
-    return edge_owner_;
-  }
-
-  [[nodiscard]] std::int32_t lane_of_group(std::int32_t g) const {
-    return g % num_lanes_;
-  }
-
  private:
-  std::vector<std::int32_t> host_group_;  // by NodeId; -1 for non-hosts
-  std::vector<std::int32_t> edge_owner_;  // by EdgeId; -1 = coordinator
+  std::vector<std::int32_t> host_group_;  // by NodeId
   std::int32_t num_groups_ = 0;
   std::int32_t num_lanes_ = 0;
-};
-
-/// The storage-sharded committed-load index: one private EdgeLoadIndex
-/// per group (its hosts' uplinks), one for the coordinator (everything
-/// shared). Same probe API as EdgeLoadIndex — every call routes to the
-/// sub-index owning the edge — so the admission templates in
-/// admission_core.h / rerate.h instantiate over either. shadow() is
-/// nullptr (each sub-index audits its own probes bitwise in audit mode;
-/// there is no combined naive replay to diff a cross-shard fill
-/// against).
-class ShardedLoadIndex {
- public:
-  ShardedLoadIndex(const ShardPlan& plan, std::int32_t num_edges, bool audit);
-
-  void add(EdgeId e, const Interval& iv, double rate) {
-    sub(e).add(e, iv, rate);
-  }
-  void retract(EdgeId e, const Interval& iv, double rate) {
-    sub(e).retract(e, iv, rate);
-  }
-  [[nodiscard]] double value_at(EdgeId e, double t) const {
-    return sub(e).value_at(e, t);
-  }
-  [[nodiscard]] double max_within(EdgeId e, const Interval& window) const {
-    return sub(e).max_within(e, window);
-  }
-  [[nodiscard]] double marginal_energy(EdgeId e, const Interval& span, double d,
-                                       const PowerModel& model) const {
-    return sub(e).marginal_energy(e, span, d, model);
-  }
-  template <typename Fn>
-  void for_each_segment_from(EdgeId e, double from, Fn&& fn) const {
-    sub(e).for_each_segment_from(e, from, static_cast<Fn&&>(fn));
-  }
-
-  /// Advances every sub-index's low-water mark (the mark is global:
-  /// min over all groups' earliest live release and the event time).
-  void advance_low_water(double t);
-
-  [[nodiscard]] std::int32_t peak_live_segments() const;
-  [[nodiscard]] std::int64_t segments_pruned() const;
-  [[nodiscard]] const std::vector<StepFunction>* shadow() const {
-    return nullptr;
-  }
-
- private:
-  [[nodiscard]] EdgeLoadIndex& sub(EdgeId e) {
-    const std::int32_t owner = (*owner_)[static_cast<std::size_t>(e)];
-    return owner >= 0 ? privates_[static_cast<std::size_t>(owner)]
-                      : coordinator_;
-  }
-  [[nodiscard]] const EdgeLoadIndex& sub(EdgeId e) const {
-    const std::int32_t owner = (*owner_)[static_cast<std::size_t>(e)];
-    return owner >= 0 ? privates_[static_cast<std::size_t>(owner)]
-                      : coordinator_;
-  }
-
-  const std::vector<std::int32_t>* owner_;  // plan's edge_owner
-  std::vector<EdgeLoadIndex> privates_;     // one per group
-  EdgeLoadIndex coordinator_;
 };
 
 }  // namespace dcn

@@ -1,15 +1,17 @@
-// The sharded scheduling engine (see sharded.h for the service shape
-// and sharded_service.cc for the batch/stream entry points). Phase A
-// mirrors the flat event loop's per-event body — completions, gap
-// check, residual build, warm re-solve, joint rounding draw — run per
-// source group over the group's own state; Phase B is the core-link
-// coordinator: serial, ascending group id, every drawn path verified
-// against the global load index before it commits.
+// The online event loop (see sharded.h for its shape and
+// sharded_service.cc for the online_dcfsr / batch / stream entry
+// points). Phase A is the per-event body — completions, gap check,
+// residual build, warm re-solve, joint rounding draw — run per source
+// group over the group's own state; phase B is the core-link
+// coordinator: serial, ascending group id, committing against the one
+// load index.
 #include "online/sharded.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,20 +29,26 @@ using online_impl::remaining_volume;
 using online_impl::ReachabilityCache;
 using online_impl::try_rerate;
 
-/// A shard worker's long-lived state: its admitted in-flight flows and
-/// their releases (the same indexed structures the flat loop keeps,
-/// scoped to the group), the relaxation workspace reused across its
-/// re-solves, its private rng stream (one deterministic mix per group,
-/// independent of lane/worker placement), and its reachability cache
-/// (sound per group: flows are partitioned by source).
+/// A shard worker's long-lived state: its admitted in-flight flows
+/// keyed by (deadline, slot) — completions pop off the front, the
+/// residual problem reads the set in deadline order — and their
+/// releases (the low-water mark's input), the relaxation workspace
+/// reused across its re-solves, its rng stream (one deterministic mix
+/// per group, independent of lane/worker placement, or the caller's own
+/// stream on the plain event loop), and its reachability cache (sound
+/// per group: flows are partitioned by source).
 struct ShardedScheduler::GroupState {
-  GroupState(const Graph& g, Rng group_rng)
-      : rng(group_rng), reach(g) {}
+  GroupState(const Graph& g, Rng stream)
+      : own_rng(stream), rng(&own_rng), reach(g) {}
+  // `rng` may point into this object: never copied or moved.
+  GroupState(const GroupState&) = delete;
+  GroupState& operator=(const GroupState&) = delete;
 
   std::set<std::pair<double, std::size_t>> active;  // (deadline, slot)
   std::multiset<double> live_releases;
   RelaxationWorkspace workspace;
-  Rng rng;
+  Rng own_rng;
+  Rng* rng;  // &own_rng, or the caller's stream
   ReachabilityCache reach;
   std::vector<double> weights;  // draw_path scratch
 };
@@ -78,7 +86,8 @@ ShardedScheduler::ShardedScheduler(const Graph& g, const PowerModel& model,
       plan_(plan),
       capacity_(model.capacity()),
       discard_completed_(discard_completed),
-      load_(plan, g.num_edges(), options.audit_load_index) {
+      verify_draws_(plan.num_groups() > 1 || options.allow_rerate),
+      load_(g.num_edges(), options.audit_load_index) {
   const std::int32_t n = plan_.num_groups();
   DCN_EXPECTS(n > 0);
   groups_.reserve(static_cast<std::size_t>(n));
@@ -97,6 +106,15 @@ ShardedScheduler::ShardedScheduler(const Graph& g, const PowerModel& model,
   if (plan_.num_lanes() > 1 && effective > 1) {
     pool_ = std::make_unique<WorkerPool>(static_cast<std::size_t>(effective));
   }
+}
+
+ShardedScheduler::ShardedScheduler(const Graph& g, const PowerModel& model,
+                                   const OnlineOptions& options,
+                                   const ShardPlan& plan, Rng& rng)
+    : ShardedScheduler(g, model, options, plan, /*stream_seed=*/0,
+                       /*workers=*/1, /*discard_completed=*/false) {
+  DCN_EXPECTS(plan.num_groups() == 1);
+  groups_.front()->rng = &rng;
 }
 
 ShardedScheduler::~ShardedScheduler() = default;
@@ -119,8 +137,9 @@ void ShardedScheduler::release_warm(std::size_t slot) {
 }
 
 double ShardedScheduler::residual_volume(std::size_t slot, double t) const {
-  // The density invariant for untouched flows, the committed profile's
-  // actual remainder once re-rated (same rule as the flat loop).
+  // The density invariant for untouched flows (residual density equals
+  // original density), the committed profile's actual remainder once
+  // re-rated: a reshaped profile is not flat.
   return rerated_[slot]
              ? remaining_volume(flows_[slot], out_.schedule.flows[slot], t)
              : flows_[slot].density() * (flows_[slot].deadline - t);
@@ -148,8 +167,13 @@ void ShardedScheduler::phase_a(GroupState& gs,
     }
   }
 
-  // Departures-only fast path, per group (same certification the flat
-  // loop runs; survivors and warm rows are the group's own).
+  // Departures-only fast path. The completions changed the group's
+  // carried problem by removal only: the surviving warm rows stay
+  // feasible and close to optimal, so instead of a full relaxation the
+  // latest completion time gets a single gap check — a one-iteration
+  // warm re-solve that certifies the rows or sheds one step of mass
+  // onto the freed capacity — and this event's re-solve starts from
+  // rows adapted to the post-departure network.
   if (options_.departures_fast_path && std::isfinite(depart) &&
       !gs.active.empty()) {
     std::vector<Flow> survivors;
@@ -157,6 +181,9 @@ void ShardedScheduler::phase_a(GroupState& gs,
     std::vector<SparseEdgeFlow> gap_rows;
     std::vector<AtomSet> gap_atoms;
     survivors.reserve(gs.active.size());
+    // With a finite lookahead the survivors are clipped to
+    // [depart, depart + W] at their original densities (no admission
+    // happens here, so the window only shrinks the decomposition).
     const double gap_horizon =
         options_.lookahead_window > 0.0
             ? depart + options_.lookahead_window
@@ -171,6 +198,8 @@ void ShardedScheduler::phase_a(GroupState& gs,
       res.id = static_cast<FlowId>(survivors.size());
       res.release = depart;
       if (res.deadline > gap_horizon) {
+        // A re-rated profile is not flat: its clipped volume is the
+        // window's share of the remainder.
         res.volume = rerated_[i]
                          ? res.volume *
                                ((gap_horizon - depart) / (deadline - depart))
@@ -182,24 +211,31 @@ void ShardedScheduler::phase_a(GroupState& gs,
       gap_rows.push_back(warm_[i]);
       gap_atoms.push_back(std::move(warm_atoms_[i]));
     }
-    RelaxationOptions gap_options = options_.rounding.relaxation;
-    gap_options.frank_wolfe.max_iterations = 1;
-    gap_options.frank_wolfe.step_rule = options_.warm_step_rule;
-    FractionalRelaxation check =
-        solve_relaxation(g_, survivors, model_, gap_options, &gs.workspace,
-                         &gap_rows, &gap_atoms);
-    ++p.gap_checks;
-    p.gap_iterations += check.total_fw_iterations;
-    p.fw_stats += check.fw_stats;
-    for (std::size_t r = 0; r < survivors.size(); ++r) {
-      if (rerated_[surviving[r]]) continue;  // stays cold
-      warm_[surviving[r]] = std::move(check.final_flow[r]);
-      warm_atoms_[surviving[r]] = std::move(check.final_atoms[r]);
+    // When every survivor was re-rated to completion there is nothing
+    // to certify (and no problem to hand the relaxation): the check is
+    // skipped and not counted.
+    if (!survivors.empty()) {
+      RelaxationOptions gap_options = options_.rounding.relaxation;
+      gap_options.frank_wolfe.max_iterations = 1;
+      gap_options.frank_wolfe.step_rule = options_.warm_step_rule;
+      FractionalRelaxation check =
+          solve_relaxation(g_, survivors, model_, gap_options, &gs.workspace,
+                           &gap_rows, &gap_atoms);
+      ++p.gap_checks;
+      p.gap_iterations += check.total_fw_iterations;
+      p.fw_stats += check.fw_stats;
+      for (std::size_t r = 0; r < survivors.size(); ++r) {
+        if (rerated_[surviving[r]]) continue;  // stays cold
+        warm_[surviving[r]] = std::move(check.final_flow[r]);
+        warm_atoms_[surviving[r]] = std::move(check.final_atoms[r]);
+      }
     }
   }
 
   // Residual problem: the group's in-flight flows pinned to their
-  // circuits, then its share of the arriving batch.
+  // circuits (at their residual volumes over [now, deadline]), then its
+  // share of the arriving batch. A re-rated flow accelerated to
+  // completion has nothing left to carry.
   std::vector<const Path*> forced;
   p.residual.reserve(gs.active.size() + batch_slots.size());
   for (const auto& [deadline, i] : gs.active) {
@@ -219,6 +255,8 @@ void ShardedScheduler::phase_a(GroupState& gs,
   for (const std::size_t slot : batch_slots) {
     Flow res = flows_[slot];
     if (!gs.reach.routable(res.src, res.dst)) {
+      // No route at all: reject here rather than crash the routing
+      // oracle inside the relaxation.
       ++p.rejected_unroutable;
       continue;
     }
@@ -229,9 +267,15 @@ void ShardedScheduler::phase_a(GroupState& gs,
   }
   if (p.residual.empty()) return;  // p.solved stays false
 
-  // Warm-started re-solve over the group's shifted horizon, windowed
-  // exactly like the flat loop (admission below still checks true
-  // spans, so the window never affects soundness).
+  // Warm-started re-solve over the group's shifted horizon. With warm
+  // mass carried (any admitted flow still in flight) it steps with the
+  // warm rule; an all-new event (the first one in particular) keeps the
+  // configured rule, so the all-at-t=0 case stays bit-identical to
+  // offline dcfsr. Flows whose deadlines lie past now + W enter the
+  // *relaxation* clipped to the window at their original densities —
+  // admission below still checks the true spans, so the window affects
+  // solve cost, never soundness; an epoch-batched arrival releasing at
+  // or past the horizon keeps its true span.
   std::vector<SparseEdgeFlow> warm_rows(p.residual.size());
   std::vector<AtomSet> warm_atom_rows(p.residual.size());
   for (std::size_t r = 0; r < p.residual.size(); ++r) {
@@ -272,6 +316,8 @@ void ShardedScheduler::phase_a(GroupState& gs,
   p.lower_bound = p.relax.lower_bound_energy;
   for (std::size_t r = 0; r < p.residual.size(); ++r) {
     if (rerated_[p.orig[r]]) {
+      // A re-rated flow's residual density drifts between events, so
+      // rows routing this event's density would be stale: stay cold.
       release_warm(p.orig[r]);
       continue;
     }
@@ -279,9 +325,10 @@ void ShardedScheduler::phase_a(GroupState& gs,
     warm_atoms_[p.orig[r]] = std::move(p.relax.final_atoms[r]);
   }
 
-  // Joint rounding draw from the group's own stream; commits happen in
-  // phase B against the global index.
-  p.draw = round_relaxation(g_, p.residual, model_, p.relax, gs.rng,
+  // Joint rounding draw with admitted flows pinned to their circuits
+  // (exactly offline Algorithm 2 when nothing is pinned); commits
+  // happen in phase B.
+  p.draw = round_relaxation(g_, p.residual, model_, p.relax, *gs.rng,
                             options_.rounding, &forced);
 }
 
@@ -305,17 +352,18 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
   };
   auto release_rejected = [&](std::size_t i) { release_warm(i); };
 
-  // Per-flow fallback against the global committed load: fresh draws
-  // from the group's stream, then — with allow_rerate — deterministic
-  // re-rate attempts over the group's own in-flight flows (the only
-  // ones a source-partitioned pass may reshape).
+  // Per-flow fallback against the committed load: fresh draws from the
+  // group's stream, then — with allow_rerate — deterministic re-rate
+  // attempts over the top-weight candidate paths (ranked by rounding
+  // weight, no rng, at most three distinct), reshaping the group's own
+  // in-flight flows (the only ones a source-partitioned pass may).
   auto place_arrival = [&](std::size_t r) -> bool {
     const std::size_t i = p.orig[r];
     const Flow& fl = flows_[i];
     for (std::int32_t attempt = 0;
          attempt < options_.rounding.max_rounding_attempts; ++attempt) {
       ++out_.rounding_attempts;
-      const Path& path = draw_path(p.relax.candidates[r], gs.rng, gs.weights);
+      const Path& path = draw_path(p.relax.candidates[r], *gs.rng, gs.weights);
       if (rate_fits(load_, path, fl.span(), fl.density(), capacity_)) {
         commit(out_, load_, i, path, {{fl.span(), fl.density()}});
         admit_into_index(i);
@@ -350,23 +398,25 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
 
   out_.rounding_attempts += p.draw.rounding_attempts;
   if (p.draw.capacity_feasible) {
-    // Coordinator arbitration: the group's joint capacity check covered
-    // only its own residual timeline — shared aggregation/core edges
-    // carry other groups' committed load it never saw. Every drawn path
-    // is therefore verified against the global index, in residual
-    // (event-time, shard-id, flow-id) order, before it commits; flows
-    // the arbitration displaces go through the per-flow fallback.
+    // Coordinator arbitration (verify_draws_): with other groups, shared
+    // aggregation/core edges carry committed load the group's joint
+    // check never saw, and a re-rated profile's acceleration is more
+    // than its flat residual density. Each drawn path is then verified
+    // against the index, in residual (event-time, shard-id, flow-id)
+    // order, before it commits; flows the arbitration displaces go
+    // through the per-flow fallback.
     std::vector<std::size_t> leftover;
     for (std::size_t r = p.first_new; r < p.residual.size(); ++r) {
       const Flow& fl = flows_[p.orig[r]];
       const Path& path = p.draw.schedule.flows[r].path;
-      if (rate_fits(load_, path, fl.span(), fl.density(), capacity_)) {
-        commit(out_, load_, p.orig[r], std::move(p.draw.schedule.flows[r].path),
-               {{fl.span(), fl.density()}});
-        admit_into_index(p.orig[r]);
-      } else {
+      if (verify_draws_ &&
+          !rate_fits(load_, path, fl.span(), fl.density(), capacity_)) {
         leftover.push_back(r);
+        continue;
       }
+      commit(out_, load_, p.orig[r], std::move(p.draw.schedule.flows[r].path),
+             {{fl.span(), fl.density()}});
+      admit_into_index(p.orig[r]);
     }
     for (const std::size_t r : leftover) {
       if (!place_arrival(r)) {
@@ -378,7 +428,11 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
   }
 
   // The group's joint admission failed within its attempt budget: admit
-  // its batch share one flow at a time (RCD urgency order by default).
+  // its batch share one flow at a time, each against the committed load
+  // only — so one unroutable elephant cannot veto a batch of mice. The
+  // default order is RCD-style close-to-deadline first (ties: denser
+  // first, then id), so urgent, hard-to-place flows draw their paths
+  // while the committed load is lightest.
   ++out_.batch_fallbacks;
   std::vector<std::size_t> fallback_order;
   for (std::size_t r = p.first_new; r < p.residual.size(); ++r) {
@@ -399,6 +453,10 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
 }
 
 void ShardedScheduler::audit_warm_state() const {
+  // Warm-state hygiene (audit mode): at every event exit only admitted
+  // in-flight flows may hold warm rows or path atoms — a rejected or
+  // departed flow keeping either would leak carried state and corrupt a
+  // later re-solve (the rows route a density no residual contains).
   if (!options_.audit_load_index) return;
   std::vector<char> in_flight(flows_.size(), 0);
   for (const auto& gp : groups_) {
@@ -425,7 +483,6 @@ void ShardedScheduler::process_batch(double now,
   warm_.resize(flows_.size());
   warm_atoms_.resize(flows_.size());
   rerated_.resize(flows_.size(), 0);
-  group_of_slot_.resize(flows_.size());
   out_.schedule.flows.resize(flows_.size());
   out_.admitted.resize(flows_.size(), false);
 
@@ -440,7 +497,6 @@ void ShardedScheduler::process_batch(double now,
     const std::size_t slot = base + k;
     const std::int32_t gid = plan_.group_of(flows_[slot]);
     DCN_EXPECTS(gid >= 0);
-    group_of_slot_[slot] = gid;
     batch_slots_[static_cast<std::size_t>(gid)].push_back(slot);
   }
   for (std::int32_t gid = 0; gid < plan_.num_groups(); ++gid) {
@@ -466,9 +522,11 @@ void ShardedScheduler::process_batch(double now,
     for (std::size_t t = 0; t < affected_.size(); ++t) run_group(t, 0);
   }
 
-  // Prune between phases — completions popped, commits not yet placed —
-  // which is exactly the flat loop's prune point. The mark is global:
-  // min(now, earliest live release across every group).
+  // Prune between phases — completions popped, commits not yet placed
+  // (phase A never touches the index). The mark is global:
+  // min(now, earliest live release across every group). Departed
+  // history is dead weight for every future probe, and folding it away
+  // is what keeps probe cost flat as the stream grows.
   double earliest = now;
   for (const auto& gp : groups_) {
     if (!gp->live_releases.empty()) {

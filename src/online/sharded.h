@@ -1,9 +1,9 @@
-// The sharded always-on scheduling service: stream -> shard ->
-// coordinator.
+// The online event loop: stream -> shard -> coordinator.
 //
-// ShardedScheduler is the long-lived core. It absorbs epoch batches of
-// arrivals (from a trace or an EventStream pulled on demand) and runs
-// each global event in two phases:
+// ShardedScheduler is the one event loop of online_dcfsr and of the
+// always-on service. It absorbs epoch batches of arrivals (from a trace
+// or an EventStream pulled on demand) and runs each global event in two
+// phases:
 //
 //   Phase A (parallel over affected source groups): each group — a
 //   long-lived shard worker owning its warm rows, path atoms, active
@@ -16,28 +16,28 @@
 //
 //   Phase B (the core-link coordinator, serial): proposals are folded
 //   in ascending group id — i.e. reservations are arbitrated in
-//   deterministic (event-time, shard-id, flow-id) order — and every
-//   drawn path is verified against the *global* sharded load index
-//   before committing (a group's own draw checked capacity only
-//   against its own residual timeline; shared aggregation/core edges
-//   carry other groups' load). Arrivals whose drawn path no longer
-//   fits go through the per-flow fallback (fresh draws from the
-//   group's stream, then — with allow_rerate — the deadline-safe
-//   re-rate transaction over the group's own in-flight flows).
+//   deterministic (event-time, shard-id, flow-id) order — against the
+//   one committed-load EdgeLoadIndex, which only phase B and the prune
+//   between the phases touch. With more than one group, a group's joint
+//   draw checked capacity only against its own residual timeline, so
+//   every drawn path is verified against the index before committing
+//   (and likewise once re-rating may have reshaped committed profiles).
+//   Arrivals whose drawn path no longer fits go through the per-flow
+//   fallback (fresh draws from the group's stream, then — with
+//   allow_rerate — the deadline-safe re-rate transaction over the
+//   group's own in-flight flows).
 //
 // The decomposition (which flows solve together) is fixed by the
 // topology via ShardPlan, so results are byte-identical for any shard
-// count >= 2 and any worker count; a 1-shard plan delegates to the
-// flat loop (online_dcfsr) outright and is byte-identical to
-// online_dcfsr_flat under that solver's options.
+// count >= 2 and any worker count. On ShardPlan::single_group with the
+// caller's rng the scheduler is the plain event loop: that is what
+// online_dcfsr runs, and what online_dcfsr_sharded runs for a 1-lane or
+// 1-group plan, so "1 shard" is online_dcfsr_flat byte for byte.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "common/parallel.h"
@@ -45,12 +45,13 @@
 #include "mcf/relaxation.h"
 #include "online/admission_core.h"
 #include "online/event_stream.h"
+#include "online/load_index.h"
 #include "online/online_scheduler.h"
 #include "online/shard_plan.h"
 
 namespace dcn {
 
-/// The long-lived sharded admission engine. Feed arrivals in event
+/// The long-lived admission engine. Feed arrivals in event
 /// order via process_batch (each batch = one global event: the epoch
 /// window starting at the batch's first release); read the aggregate
 /// OnlineResult with take_result() when the stream ends. Result rows
@@ -68,6 +69,13 @@ class ShardedScheduler {
                    const OnlineOptions& options, const ShardPlan& plan,
                    std::uint64_t stream_seed, std::int32_t workers,
                    bool discard_completed);
+  /// The plain event loop: a single-group `plan` (ShardPlan::
+  /// single_group) whose rounding draws come straight from the caller's
+  /// `rng`, serial, completed rows kept. `rng` must outlive the
+  /// scheduler.
+  ShardedScheduler(const Graph& g, const PowerModel& model,
+                   const OnlineOptions& options, const ShardPlan& plan,
+                   Rng& rng);
   ~ShardedScheduler();  // out of line: GroupState is private to the TU
 
   /// One global event: `batch` holds the arrivals with release in
@@ -105,20 +113,22 @@ class ShardedScheduler {
   const ShardPlan& plan_;
   const double capacity_;
   const bool discard_completed_;
+  // Phase B verifies a feasible joint draw against the index before
+  // committing it unless the draw already saw all committed load: one
+  // group, and no re-rate ever reshaped a committed profile.
+  const bool verify_draws_;
 
   std::vector<std::unique_ptr<GroupState>> groups_;
   std::unique_ptr<WorkerPool> pool_;  // phase A lanes; null = serial
 
-  // Slot-indexed state (slot = feed order), exactly the flat loop's
-  // per-flow vectors. Phase A touches only its own group's slots, so
-  // parallel groups never alias.
+  // Slot-indexed state (slot = feed order). Phase A touches only its
+  // own group's slots, so parallel groups never alias.
   std::vector<Flow> flows_;
   std::vector<SparseEdgeFlow> warm_;
   std::vector<AtomSet> warm_atoms_;
   std::vector<char> rerated_;
-  std::vector<std::int32_t> group_of_slot_;
 
-  ShardedLoadIndex load_;
+  EdgeLoadIndex load_;
   OnlineResult out_;
   std::int64_t completed_ = 0;
   bool first_lb_set_ = false;
@@ -129,12 +139,12 @@ class ShardedScheduler {
 };
 
 /// Batch-API entry point, registered as `online_dcfsr_sharded`: runs
-/// the sharded service over a materialized trace and returns a result
+/// the scheduler over a materialized trace and returns a result
 /// indexed like the input (drop-in comparable with online_dcfsr).
-/// Plans with a single lane or a single source group delegate to
-/// online_dcfsr on the caller's rng stream — byte-identical to the
-/// flat loop under the same options. With >= 2 lanes the output is a
-/// pure function of (inputs, plan groups): byte-identical for any
+/// Plans with a single lane or a single source group run on
+/// ShardPlan::single_group with the caller's rng stream — exactly
+/// online_dcfsr under the same options. With >= 2 lanes the output is
+/// a pure function of (inputs, plan groups): byte-identical for any
 /// shard count >= 2 and any `workers` (0 = min(hardware, lanes)).
 [[nodiscard]] OnlineResult online_dcfsr_sharded(
     const Graph& g, const std::vector<Flow>& flows, const PowerModel& model,

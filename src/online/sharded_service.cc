@@ -1,9 +1,12 @@
-// Entry points of the sharded scheduling service: the batch API
+// Entry points of the online event loop: online_dcfsr (the loop on a
+// single-group plan with the caller's rng), the sharded batch API
 // (online_dcfsr_sharded — drop-in comparable with online_dcfsr) and the
 // sustained-stream runner (run_online_stream — pulls from an
 // EventStream, flushes periodic service stats, never materializes the
-// trace). The engine itself lives in sharded.cc.
+// trace). All three drive ShardedScheduler::process_batch; the engine
+// itself lives in sharded.cc.
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/contracts.h"
@@ -37,41 +40,22 @@ std::int64_t peak_rss_kb() {
 #endif
 }
 
-OnlineResult online_dcfsr_sharded(const Graph& g,
-                                  const std::vector<Flow>& flows,
-                                  const PowerModel& model, Rng& rng,
-                                  const OnlineOptions& options,
-                                  const ShardPlan& plan,
-                                  std::int32_t workers) {
-  // A single lane (or a single source group, where sharding has nothing
-  // to decompose) delegates outright — same rng stream, same loop — so
-  // "1 shard" is the flat scheduler byte for byte.
-  if (plan.num_lanes() <= 1 || plan.num_groups() <= 1) {
-    return online_dcfsr(g, flows, model, rng, options);
-  }
-  validate_flows(g, flows);
-  if (flows.empty()) {
-    OnlineResult out;
-    return out;
-  }
+namespace {
 
+/// Feeds a materialized trace to `sched` in epoch batches — one global
+/// event per batch, decision point at the batch's first release — and
+/// returns the result indexed like the input. The engine's rows are in
+/// feed (arrival) order and go back to the caller's indices; latencies
+/// stay in decision order.
+OnlineResult run_trace(ShardedScheduler& sched, const std::vector<Flow>& flows,
+                       double epoch) {
   const std::vector<std::size_t> order = online_impl::arrival_order(flows);
-  // One draw from the caller's stream seeds every per-shard stream (a
-  // deterministic mix per group) — the caller's rng advances by exactly
-  // one draw regardless of shard, worker, or group count.
-  const std::uint64_t stream_seed = rng();
-  ShardedScheduler sched(g, model, options, plan, stream_seed, workers,
-                         /*discard_completed=*/false);
-
-  // The flat loop's epoch batching, verbatim: one global event per
-  // batch, decision point at the batch's first release.
   std::vector<Flow> batch;
   for (std::size_t lo = 0; lo < order.size();) {
     const double now = flows[order[lo]].release;
     batch.clear();
     std::size_t hi = lo;
-    while (hi < order.size() &&
-           flows[order[hi]].release <= now + options.epoch) {
+    while (hi < order.size() && flows[order[hi]].release <= now + epoch) {
       batch.push_back(flows[order[hi]]);
       ++hi;
     }
@@ -79,9 +63,6 @@ OnlineResult online_dcfsr_sharded(const Graph& g,
     lo = hi;
   }
 
-  // The engine's rows are in feed (arrival) order; put them back at the
-  // caller's indices. Latencies stay in decision order (same convention
-  // as the flat loop's per-batch pushes).
   OnlineResult out = sched.take_result();
   std::vector<FlowSchedule> rows(flows.size());
   std::vector<bool> admitted(flows.size(), false);
@@ -92,6 +73,40 @@ OnlineResult online_dcfsr_sharded(const Graph& g,
   out.schedule.flows = std::move(rows);
   out.admitted = std::move(admitted);
   return out;
+}
+
+}  // namespace
+
+OnlineResult online_dcfsr(const Graph& g, const std::vector<Flow>& flows,
+                          const PowerModel& model, Rng& rng,
+                          const OnlineOptions& options) {
+  validate_flows(g, flows);
+  if (flows.empty()) return {};
+  const ShardPlan plan = ShardPlan::single_group(g);
+  ShardedScheduler sched(g, model, options, plan, rng);
+  return run_trace(sched, flows, options.epoch);
+}
+
+OnlineResult online_dcfsr_sharded(const Graph& g,
+                                  const std::vector<Flow>& flows,
+                                  const PowerModel& model, Rng& rng,
+                                  const OnlineOptions& options,
+                                  const ShardPlan& plan,
+                                  std::int32_t workers) {
+  // A single lane (or a single source group, where sharding has nothing
+  // to decompose) runs on the single-group plan with the caller's own
+  // stream, so "1 shard" is online_dcfsr byte for byte.
+  if (plan.num_lanes() <= 1 || plan.num_groups() <= 1) {
+    return online_dcfsr(g, flows, model, rng, options);
+  }
+  validate_flows(g, flows);
+  if (flows.empty()) return {};
+  // One draw from the caller's stream seeds every per-shard stream (a
+  // deterministic mix per group) — the caller's rng advances by exactly
+  // one draw regardless of shard, worker, or group count.
+  ShardedScheduler sched(g, model, options, plan, rng(), workers,
+                         /*discard_completed=*/false);
+  return run_trace(sched, flows, options.epoch);
 }
 
 OnlineResult run_online_stream(

@@ -130,19 +130,30 @@ TEST(BatchRunner, OnlineScenariosAreByteIdenticalAcrossJobs) {
 }
 
 TEST(BatchRunner, ParallelOracleVariantIsByteIdenticalToDcfsr) {
-  // dcfsr_mt differs from dcfsr only in how the Frank-Wolfe oracle is
-  // scheduled (worker pool vs sequential); the outcome must be
-  // byte-identical — same rng stream, same relaxation, same rounding.
+  // dcfsr with the Frank-Wolfe oracle on a worker pool vs sequential:
+  // the outcome must be byte-identical — same rng stream, same
+  // relaxation, same rounding.
   ScenarioOptions options;
   options.num_flows = 12;
   const Instance instance =
       ScenarioSuite::default_suite().build("fat_tree/paper", 3, options);
-  const SolverOutcome a = default_registry().create("dcfsr")->solve(instance);
-  const SolverOutcome b = default_registry().create("dcfsr_mt")->solve(instance);
+  auto dcfsr_with_oracle_threads = [&](std::int32_t threads) {
+    RandomScheduleOptions dcfsr;
+    dcfsr.relaxation.frank_wolfe.max_iterations = 12;
+    dcfsr.relaxation.frank_wolfe.gap_tolerance = 1e-3;
+    dcfsr.relaxation.frank_wolfe.oracle_threads = threads;
+    return RandomScheduleSolver(dcfsr).solve(instance);
+  };
+  const SolverOutcome a = dcfsr_with_oracle_threads(1);
+  const SolverOutcome b = dcfsr_with_oracle_threads(4);
   EXPECT_EQ(a.energy, b.energy);
   EXPECT_EQ(a.lower_bound, b.lower_bound);
   EXPECT_EQ(a.feasible, b.feasible);
   EXPECT_EQ(a.stats, b.stats);
+  // The registered dcfsr is this configuration (adaptive oracle width).
+  const SolverOutcome registered =
+      default_registry().create("dcfsr")->solve(instance);
+  EXPECT_EQ(canonical_summary(a), canonical_summary(registered));
 }
 
 TEST(BatchRunner, OversubscribedThreadsStillDeterministic) {

@@ -18,7 +18,7 @@ TEST(SolverRegistry, DefaultRegistryCarriesEveryAlgorithm) {
   const SolverRegistry& registry = default_registry();
   for (const char* name :
        {"mcf", "mcf_paper", "mcf_plain", "sp_mcf", "dcfsr", "dcfsr_classic",
-        "dcfsr_mt", "ecmp_mcf", "greedy", "edf", "exact", "online_dcfsr",
+        "ecmp_mcf", "greedy", "edf", "exact", "online_dcfsr",
         "online_dcfsr_id", "online_dcfsr_flat", "online_dcfsr_preempt",
         "online_dcfsr_sharded", "online_greedy", "oracle_dcfsr"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
@@ -26,7 +26,7 @@ TEST(SolverRegistry, DefaultRegistryCarriesEveryAlgorithm) {
     EXPECT_EQ(solver->name(), name);
     EXPECT_FALSE(solver->description().empty());
   }
-  EXPECT_EQ(registry.size(), 18u);
+  EXPECT_EQ(registry.size(), 17u);
 }
 
 TEST(SolverRegistry, UnknownSolverThrowsWithCatalogue) {

@@ -19,7 +19,11 @@
 //     batched run must leave zero stale warm-start state behind —
 //     enforced by the audit mode's warm-state sweep at every event
 //     (a regression here aborts the run via DCN_ENSURES rather than
-//     silently re-routing a ghost flow on the next re-solve).
+//     silently re-routing a ghost flow on the next re-solve);
+//   * re-rating to completion: heavy-tailed traces where every
+//     survivor of a departures gap check was accelerated to completion
+//     must skip the check instead of handing the relaxation an empty
+//     problem (which aborted both the batch solver and the service).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,9 +31,13 @@
 #include <vector>
 
 #include "engine/instance.h"
+#include "engine/registry.h"
 #include "engine/scenario.h"
 #include "engine/solver.h"
+#include "online/event_stream.h"
 #include "online/online_scheduler.h"
+#include "online/shard_plan.h"
+#include "online/sharded.h"
 #include "sim/packet_sim.h"
 #include "sim/replay.h"
 
@@ -204,6 +212,49 @@ TEST(OnlinePreempt, RejectionsLeaveNoStaleWarmStateUnderAudit) {
       }
     }
   }
+}
+
+TEST(OnlinePreempt, RerateToCompletionSkipsTheEmptyGapCheck) {
+  // Hadoop sizes at capacity 3: re-rating can accelerate every in-flight
+  // flow (of the loop, or of one source group) to completion before its
+  // deadline, so the next departures gap check has no survivor. Both
+  // entry points must run through it and keep every admitted deadline.
+  ScenarioOptions scen;
+  scen.num_flows = 300;
+  scen.capacity = 3.0;
+  for (const std::uint64_t seed : {2, 4, 6, 8}) {
+    const Instance instance =
+        ScenarioSuite::default_suite().build("fat_tree/hadoop", seed, scen);
+    const SolverOutcome out =
+        default_registry().create("online_dcfsr_preempt")->solve(instance);
+    EXPECT_TRUE(out.feasible) << "seed " << seed << ": " << out.first_issue;
+  }
+
+  // The service as `dcn_run --serve --scenario fat_tree8/hadoop
+  // --seed 101 --arrivals 140 --rate 8 --capacity 3 --rerate` runs it.
+  const std::string spec = "fat_tree8/hadoop";
+  const std::uint64_t seed = 101;
+  ScenarioOptions serve;
+  serve.arrival_rate = 8.0;
+  serve.capacity = 3.0;
+  auto [topo, stream_rng] =
+      ScenarioSuite::default_suite().build_topology(spec, seed);
+  PoissonEventStream stream(
+      topo, online_workload_params(serve, SizeModel::kHadoop), stream_rng,
+      /*limit=*/140);
+  OnlineOptions options;
+  options.rounding.relaxation.frank_wolfe.max_iterations = 12;
+  options.rounding.relaxation.frank_wolfe.gap_tolerance = 1e-3;
+  options.lookahead_window = 2.0;
+  options.epoch = 0.5;
+  options.allow_rerate = true;
+  Rng rng(mix_seed(seed, spec + "#" + std::to_string(seed) + "|dcfsr"));
+  const OnlineResult r = run_online_stream(
+      topo.graph(), stream, serve.power_model(), rng, options,
+      ShardPlan::by_source_group(topo, 0), /*workers=*/2, /*flush_every=*/0,
+      nullptr);
+  EXPECT_EQ(r.num_admitted + r.num_rejected, 140);
+  EXPECT_GE(r.rerate_commits, 1);
 }
 
 }  // namespace

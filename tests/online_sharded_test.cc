@@ -5,13 +5,13 @@
 // concurrently, and the coordinator commits in (event-time, group-id,
 // flow-id) order — so the full OnlineResult (admitted set, schedule,
 // every deterministic counter) must be byte-identical for any shard
-// count >= 2 and any worker count. Single-lane plans delegate to the
-// flat loop outright, so "1 shard" is online_dcfsr byte for byte. On
-// pod-local traffic (flows that never leave their source group, one
-// group active at a time) the per-group re-solves see exactly the
-// residual the flat loop's global re-solve sees, so the *schedule*
-// matches the unsharded one too — the cross-implementation anchor that
-// sharding redistributes work without changing decisions.
+// count >= 2 and any worker count. Single-lane plans run on the
+// single-group plan with the caller's rng, so "1 shard" is online_dcfsr
+// byte for byte. On pod-local traffic (flows that never leave their
+// source group, one group active at a time) the per-group re-solves
+// see exactly the residual the flat loop's global re-solve sees, so the
+// *schedule* matches the unsharded one too — the anchor that sharding
+// redistributes work without changing decisions.
 //
 // Also here: the zero-/single-arrival edge cases across every online
 // policy entry point (the degenerate traces a long-lived service must
@@ -122,8 +122,9 @@ TEST_F(OnlineShardedTest, ByteIdenticalForAnyShardAndWorkerCount) {
 }
 
 TEST_F(OnlineShardedTest, SingleLanePlanIsFlatSchedulerByteForByte) {
-  // num_shards = 1 delegates to online_dcfsr with the caller's own rng:
-  // literal equality on every property-sweep scenario family.
+  // num_shards = 1 runs the single-group plan on the caller's own rng,
+  // exactly as online_dcfsr does: literal equality on every
+  // property-sweep scenario family.
   for (const char* spec : {"fat_tree/poisson", "leaf_spine/hadoop"}) {
     for (const std::uint64_t seed : {1, 2, 3}) {
       ScenarioOptions scen;
@@ -312,36 +313,50 @@ TEST_F(OnlineShardedTest, StreamedServiceMatchesBatchSolver) {
 }
 
 TEST_F(OnlineShardedTest, RerateUnderShardingStaysReplayFeasible) {
-  // allow_rerate under the sharded coordinator, on the capacity-cliff
-  // regime: whatever the re-rate pass reshapes, the admitted subset
-  // must replay cleanly — the commit barrier's deadline guarantee does
-  // not depend on the storage split.
-  std::int64_t total_attempts = 0;
-  for (const std::uint64_t seed : {1, 2, 3, 4}) {
-    ScenarioOptions scen;
-    scen.num_flows = 24;
-    scen.capacity = 2.5;
-    scen.arrival_rate = 6.0;
-    const Instance instance = suite_.build("fat_tree/poisson", seed, scen);
-    OnlineOptions options = FlatOptions();
-    options.allow_rerate = true;
+  // allow_rerate under the sharded coordinator with the audit shadow on,
+  // so every index probe and every re-rate EDF fill is cross-checked
+  // against the naive replay: whatever the re-rate pass reshapes, the
+  // admitted subset must replay cleanly. Two regimes: the capacity
+  // cliff on fixed poisson sizes, and heavy-tailed hadoop sizes, where
+  // re-rating can accelerate all of a group's in-flight flows to
+  // completion, leaving the next departures gap check no survivor.
+  const struct {
+    const char* spec;
+    std::int32_t num_flows;
+    double arrival_rate, capacity;
+    std::vector<std::uint64_t> seeds;
+  } cases[] = {{"fat_tree/poisson", 24, 6.0, 2.5, {1, 2, 3, 4}},
+               {"fat_tree/hadoop", 120, 4.0, 3.0, {6, 8}}};
+  for (const auto& c : cases) {
+    std::int64_t total_attempts = 0;
+    for (const std::uint64_t seed : c.seeds) {
+      ScenarioOptions scen;
+      scen.num_flows = c.num_flows;
+      scen.capacity = c.capacity;
+      scen.arrival_rate = c.arrival_rate;
+      const Instance instance = suite_.build(c.spec, seed, scen);
+      OnlineOptions options = FlatOptions();
+      options.allow_rerate = true;
+      options.audit_load_index = true;
 
-    Rng rng = solver_rng(instance, "dcfsr");
-    const OnlineResult r = online_dcfsr_sharded(
-        instance.graph(), instance.flows(), instance.model(), rng, options,
-        ShardPlan::by_source_group(instance.topology(), 0), /*workers=*/2);
-    total_attempts += r.rerate_attempts;
-    ASSERT_GE(r.num_admitted, 1) << "seed " << seed;
-    const auto [sub_flows, sub_schedule] =
-        admitted_subset(instance.flows(), r.schedule, r.admitted);
-    const ReplayReport replay = replay_schedule(instance.graph(), sub_flows,
-                                                sub_schedule, instance.model());
-    EXPECT_TRUE(replay.ok)
-        << "seed " << seed << ": "
-        << (replay.issues.empty() ? "" : replay.issues[0]);
+      Rng rng = solver_rng(instance, "dcfsr");
+      const OnlineResult r = online_dcfsr_sharded(
+          instance.graph(), instance.flows(), instance.model(), rng, options,
+          ShardPlan::by_source_group(instance.topology(), 0), /*workers=*/2);
+      const std::string tag = std::string(c.spec) + " seed " +
+                              std::to_string(seed);
+      total_attempts += r.rerate_attempts;
+      ASSERT_GE(r.num_admitted, 1) << tag;
+      const auto [sub_flows, sub_schedule] =
+          admitted_subset(instance.flows(), r.schedule, r.admitted);
+      const ReplayReport replay = replay_schedule(
+          instance.graph(), sub_flows, sub_schedule, instance.model());
+      EXPECT_TRUE(replay.ok)
+          << tag << ": " << (replay.issues.empty() ? "" : replay.issues[0]);
+    }
+    EXPECT_GE(total_attempts, 1)
+        << c.spec << ": sweep never attempted a re-rate; tighten the scenario";
   }
-  EXPECT_GE(total_attempts, 1)
-      << "sweep never attempted a re-rate; tighten the scenario";
 }
 
 }  // namespace

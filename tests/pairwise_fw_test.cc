@@ -18,8 +18,8 @@
 //   3. Determinism: the pairwise trajectory is byte-identical under
 //      the parallel linearization oracle (any thread count), and an
 //      online BatchRunner grid over the pairwise-stepping online
-//      solvers stays byte-identical for any --jobs (dcfsr_mt's
-//      classic-rule parallel solves are covered by
+//      solvers stays byte-identical for any --jobs (dcfsr's
+//      parallel-oracle solves are covered by the
 //      sparse_equivalence/batch_runner tests).
 //
 // The departures-only fast path of the online scheduler rides along:
