@@ -239,10 +239,9 @@ BENCHMARK(BM_SolveRelaxationParallelOracle)
 // The online scheduler's hot path: a warm-started incremental re-solve
 // after one mouse arrival, from the carried rows of a tighter prior
 // solve (the regime of tests/online_warm_start_test.cc at fleet
-// scale). The Classic/Pairwise pair is the step_rule A/B: classic pays
-// the last-mile shedding stall on every re-solve, pairwise moves only
-// the mass the arrival displaced. Args are {fat-tree k, num_flows}.
-void warm_resolve_bench(benchmark::State& state, FrankWolfeStepRule rule) {
+// scale), stepping with the default pairwise rule, which moves only the
+// mass the arrival displaced. Args are {fat-tree k, num_flows}.
+void BM_SolveRelaxationWarmPairwise(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   const auto n = static_cast<int>(state.range(1));
   const Topology topo = fat_tree(k);
@@ -269,7 +268,6 @@ void warm_resolve_bench(benchmark::State& state, FrankWolfeStepRule rule) {
   RelaxationOptions budget;
   budget.frank_wolfe.max_iterations = 15;
   budget.frank_wolfe.gap_tolerance = 2e-3;
-  budget.frank_wolfe.step_rule = rule;
   std::int64_t iterations = 0;
   FrankWolfeStats stats;
   for (auto _ : state) {
@@ -285,26 +283,7 @@ void warm_resolve_bench(benchmark::State& state, FrankWolfeStepRule rule) {
   state.SetComplexityN(n);
 }
 
-void BM_SolveRelaxationWarmClassic(benchmark::State& state) {
-  warm_resolve_bench(state, FrankWolfeStepRule::kClassic);
-}
-BENCHMARK(BM_SolveRelaxationWarmClassic)
-    ->Args({8, 400})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SolveRelaxationWarmPairwise(benchmark::State& state) {
-  warm_resolve_bench(state, FrankWolfeStepRule::kPairwise);
-}
 BENCHMARK(BM_SolveRelaxationWarmPairwise)
-    ->Args({8, 400})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SolveRelaxationWarmAway(benchmark::State& state) {
-  warm_resolve_bench(state, FrankWolfeStepRule::kAwayStep);
-}
-BENCHMARK(BM_SolveRelaxationWarmAway)
     ->Args({8, 400})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

@@ -33,12 +33,6 @@
 // would have rejected), and rr_flows, distinct in-flight profiles
 // reshaped.
 //
-// online_dcfsr_id is the built-in A/B baseline: the legacy online
-// configuration (id-order per-flow admission instead of RCD-style
-// deadline-then-density, classic warm re-solve steps instead of
-// pairwise + atom carry-over, no departures fast path), so the admit%
-// and fw_iters columns read directly as the win of this configuration.
-//
 // Per solver row the table also carries the admission-decision latency
 // percentiles (p50/p99 wall ms per arrival, from the schedulers'
 // per-event clocks) and the load-index health columns: pk_seg, the
@@ -52,7 +46,7 @@
 //        --capacity x     link capacity                [3]
 //        --scenario s     online scenario              [fat_tree/poisson]
 //        --solvers a,b,.. online solver columns
-//                         [online_greedy,online_dcfsr,online_dcfsr_id]
+//                         [online_greedy,online_dcfsr,online_dcfsr_flat]
 //        --jobs n         worker threads               [1]
 //        --no-oracle      skip the oracle_dcfsr column
 //        --json FILE      also write the table as google-benchmark JSON
@@ -344,7 +338,7 @@ int main(int argc, char** argv) {
   if (args.has_flag("stream")) return run_stream(args);
 
   std::vector<std::string> solvers = args.get_list(
-      "solvers", {"online_greedy", "online_dcfsr", "online_dcfsr_id"});
+      "solvers", {"online_greedy", "online_dcfsr", "online_dcfsr_flat"});
   const bool with_oracle = !args.has_flag("no-oracle");
   if (with_oracle &&
       std::find(solvers.begin(), solvers.end(), "oracle_dcfsr") ==

@@ -35,31 +35,17 @@ std::vector<std::string> SolverRegistry::names() const {
 
 namespace {
 
-/// The calibrated Frank-Wolfe budget shared by every current
-/// dcfsr-family solver — the single place a recalibration lands.
+/// The calibrated Frank-Wolfe budget shared by every dcfsr-family
+/// solver — the single place a recalibration lands.
 ///
-/// v2 calibration (pairwise cold solves, the default step rule since
-/// the flip): 12 iterations at gap 1e-3. Criterion unchanged from v1:
-/// LB moves < 0.5% versus a 4x larger budget across the scenario grid
-/// (see EXPERIMENTS.md for the sweep). The pairwise sweeps certify a
-/// 2x tighter gap in fewer iterations than the classic rule's v1
-/// budget (15 / 2e-3), which was sized around the classic last-mile
-/// stall and lives on in LegacyV1FwBudget().
+/// v2 calibration (pairwise cold solves, the default step rule): 12
+/// iterations at gap 1e-3. Criterion: LB moves < 0.5% versus a 4x
+/// larger budget across the scenario grid (see EXPERIMENTS.md for the
+/// sweep).
 FrankWolfeOptions CalibratedFwBudget() {
   FrankWolfeOptions fw;
   fw.max_iterations = 12;
   fw.gap_tolerance = 1e-3;
-  return fw;
-}
-
-/// The v1 budget and step rule, frozen: classic joint steps at
-/// 15 / 2e-3. dcfsr_classic (and the legacy online baseline) keep the
-/// pre-flip configuration selectable for A/Bs.
-FrankWolfeOptions LegacyV1FwBudget() {
-  FrankWolfeOptions fw;
-  fw.max_iterations = 15;
-  fw.gap_tolerance = 2e-3;
-  fw.step_rule = FrankWolfeStepRule::kClassic;
   return fw;
 }
 
@@ -90,20 +76,12 @@ const SolverRegistry& default_registry() {
           "mcf_plain", options,
           "SP routing + MCF without virtual weights (Theorem 1 ablation)");
     });
-    // v2: pairwise step rule (the FrankWolfeOptions default) with the
-    // adaptive parallel oracle — cold solves certify past the classic
-    // rule's stall under the shared calibrated budget.
+    // Pairwise step rule (the FrankWolfeOptions default) with the
+    // adaptive parallel oracle under the shared calibrated budget.
     r.add("dcfsr", [] {
       RandomScheduleOptions options;
       options.relaxation.frank_wolfe = CalibratedFwBudget();
       return std::make_unique<RandomScheduleSolver>(options);
-    });
-    // The v1 configuration, frozen: classic joint steps at the old
-    // budget, so the pre-flip algorithm stays selectable for A/Bs.
-    r.add("dcfsr_classic", [] {
-      RandomScheduleOptions options;
-      options.relaxation.frank_wolfe = LegacyV1FwBudget();
-      return std::make_unique<RandomScheduleSolver>(options, "dcfsr_classic");
     });
     r.add("ecmp_mcf", [] { return std::make_unique<EcmpMcfSolver>(); });
     r.add("greedy", [] { return std::make_unique<GreedySolver>(); });
@@ -116,17 +94,6 @@ const SolverRegistry& default_registry() {
       OnlineOptions options;
       options.rounding.relaxation.frank_wolfe = CalibratedFwBudget();
       return std::make_unique<OnlineDcfsrSolver>(options);
-    });
-    // Legacy id-order admission fallback (v1 classic budget and rule
-    // throughout, cold solves included): the A/B baseline bench_online
-    // compares the RCD-style order and pairwise re-solves against.
-    r.add("online_dcfsr_id", [] {
-      OnlineOptions options;
-      options.rounding.relaxation.frank_wolfe = LegacyV1FwBudget();
-      options.warm_step_rule = FrankWolfeStepRule::kClassic;
-      options.fallback_order = FallbackAdmissionOrder::kFlowId;
-      options.departures_fast_path = false;
-      return std::make_unique<OnlineDcfsrSolver>(options, "online_dcfsr_id");
     });
     // Flat-latency configuration: interval-windowed re-solves plus
     // epoch-batched admission on top of the calibrated budget. The

@@ -48,12 +48,11 @@ class SolverRegistry {
   std::map<std::string, Factory> factories_;
 };
 
-/// All solvers of the library under their canonical names:
-/// mcf, mcf_paper, mcf_plain, dcfsr, sp_mcf (alias of mcf),
-/// ecmp_mcf, greedy, edf, exact, online_dcfsr, online_dcfsr_id (the
-/// legacy online configuration — id-order fallback, classic warm
-/// steps, no departures fast path — kept as the A/B baseline),
-/// online_greedy.
+/// All solvers of the library under their canonical names. Offline:
+/// mcf, sp_mcf (alias of mcf), mcf_paper, mcf_plain, dcfsr, ecmp_mcf,
+/// greedy, edf, exact. Online: online_dcfsr, online_dcfsr_flat,
+/// online_dcfsr_preempt, online_dcfsr_sharded, online_greedy and the
+/// hindsight oracle_dcfsr.
 [[nodiscard]] const SolverRegistry& default_registry();
 
 }  // namespace dcn::engine

@@ -94,9 +94,8 @@ SolverOutcome McfSolver::solve(const Instance& instance) const {
 // ---------------------------------------------------------------------------
 // RandomScheduleSolver
 
-RandomScheduleSolver::RandomScheduleSolver(RandomScheduleOptions options,
-                                           std::string name)
-    : options_(options), name_(std::move(name)) {}
+RandomScheduleSolver::RandomScheduleSolver(RandomScheduleOptions options)
+    : options_(options) {}
 
 std::string RandomScheduleSolver::description() const {
   return "Random-Schedule: fractional relaxation + randomized rounding "
@@ -104,9 +103,7 @@ std::string RandomScheduleSolver::description() const {
 }
 
 SolverOutcome RandomScheduleSolver::solve(const Instance& instance) const {
-  // Keyed by the algorithm id, not the display name: dcfsr variants
-  // must draw the same stream to stay byte-identical.
-  Rng rng = solver_rng(instance, "dcfsr");
+  Rng rng = solver_rng(instance, name());
   const RandomScheduleResult r = random_schedule(
       instance.graph(), instance.flows(), instance.model(), rng, options_);
   SolverOutcome out = finish_outcome(name(), instance, r.schedule);

@@ -65,16 +65,14 @@ class McfSolver final : public Solver {
 /// count — only the wall-clock differs.
 class RandomScheduleSolver final : public Solver {
  public:
-  explicit RandomScheduleSolver(RandomScheduleOptions options = {},
-                                std::string name = "dcfsr");
+  explicit RandomScheduleSolver(RandomScheduleOptions options = {});
 
-  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::string name() const override { return "dcfsr"; }
   [[nodiscard]] std::string description() const override;
   [[nodiscard]] SolverOutcome solve(const Instance& instance) const override;
 
  private:
   RandomScheduleOptions options_;
-  std::string name_;
 };
 
 /// ECMP routing (one of up to `width` equal-cost shortest paths per
@@ -139,8 +137,8 @@ class ExactSolver final : public Solver {
 class OnlineDcfsrSolver final : public Solver {
  public:
   /// `name` distinguishes registered option variants (the registry's
-  /// "online_dcfsr_id" keeps the legacy id-order admission fallback
-  /// for A/B runs); the rng stays keyed to "dcfsr" regardless.
+  /// "online_dcfsr_flat" and "online_dcfsr_preempt"); the rng stays
+  /// keyed to "dcfsr" regardless.
   explicit OnlineDcfsrSolver(OnlineOptions options = {},
                              std::string name = "online_dcfsr");
 

@@ -54,12 +54,12 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     DCN_EXPECTS(warm_by_flow->size() == flows.size());
     prev_flow_by_flow = *warm_by_flow;
   }
-  // Atom carry-over (atom step rules): per flow, the path-atom
+  // Atom carry-over (pairwise rule): per flow, the path-atom
   // decomposition matching prev_flow_by_flow, threaded across intervals
   // (and, via the caller, across whole re-solves) so each interval
   // solve seeds its active sets without re-decomposing the warm rows.
   const bool atomic =
-      options.frank_wolfe.step_rule != FrankWolfeStepRule::kClassic;
+      options.frank_wolfe.step_rule == FrankWolfeStepRule::kPairwise;
   std::vector<AtomSet> prev_atoms_by_flow(flows.size());
   if (atomic && warm_atoms_by_flow != nullptr) {
     DCN_EXPECTS(warm_atoms_by_flow->size() == flows.size());
@@ -190,7 +190,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
       lo = hi;
     }
 
-    // Carried atoms for this interval's commodities (atom rules only):
+    // Carried atoms for this interval's commodities (pairwise only):
     // flows active in the previous interval hand their active sets
     // straight to the solver.
     const std::vector<AtomSet>* atoms_in = nullptr;

@@ -42,14 +42,13 @@ struct FlowCandidates {
 };
 
 struct RelaxationOptions {
-  /// Frank-Wolfe knobs, including the step rule. Since v2 the default
-  /// is kPairwise everywhere: it repairs warm re-solves (each
-  /// interval's warm rows — the previous interval's solution, or the
-  /// caller's carried rows — seed the per-commodity active sets the
-  /// sweeps move mass between) *and* certifies cold solves past the
-  /// classic rule's last-mile stall. kClassic remains selectable for
-  /// the v1 trajectory; kAwayStep is the textbook away-step variant.
-  /// See FrankWolfeStepRule.
+  /// Frank-Wolfe knobs, including the step rule. The default kPairwise
+  /// repairs warm re-solves (each interval's warm rows — the previous
+  /// interval's solution, or the caller's carried rows — seed the
+  /// per-commodity active sets the sweeps move mass between) *and*
+  /// certifies cold solves past the classic rule's last-mile stall.
+  /// kClassic remains selectable as the plain joint step. See
+  /// FrankWolfeStepRule.
   FrankWolfeOptions frank_wolfe;
   /// Tolerance passed to the path decomposition.
   double decomposition_tolerance = 1e-9;
@@ -76,9 +75,8 @@ struct FractionalRelaxation {
   /// (the online scheduler threads these across re-solves).
   std::vector<SparseEdgeFlow> final_flow;
   /// Per flow: the path-atom decomposition of final_flow from the same
-  /// last interval — populated only when the solve stepped with an
-  /// atom rule (pairwise or away-step; empty sets under kClassic).
-  /// Feeding these back via
+  /// last interval — populated only when the solve stepped with the
+  /// pairwise rule (empty sets under kClassic). Feeding these back via
   /// `warm_atoms_by_flow` lets the next re-solve seed its active sets
   /// directly instead of re-running Raghavan-Tompson on the warm rows,
   /// and preserves atom identity across the online scheduler's events.

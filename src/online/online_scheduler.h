@@ -14,12 +14,12 @@
 //     density equals the original density and committed rates never
 //     need revision (the Theorem 4 schedule, executed online).
 //   * Admission control: a batch (or, when joint admission fails, each
-//     arrival individually, closest deadline first — RCD-style, see
-//     FallbackAdmissionOrder) is accepted iff a capacity-feasible
-//     schedule exists for the union of residual admitted demands and
-//     the new flow(s). Admitted flows are never preempted or rejected
-//     later; rejected flows are dropped at arrival (no partial
-//     service).
+//     arrival individually, closest deadline first — the RCD urgency order
+//     of Noormohammadpour et al., ties broken by higher density then id) is
+//     accepted iff a capacity-feasible schedule exists for the union of
+//     residual admitted demands and the new flow(s). Admitted flows are
+//     never preempted or rejected later; rejected flows are dropped at
+//     arrival (no partial service).
 //   * Paths are virtual circuits: committed at admission and held fixed
 //     through every later re-solve (a mid-flight path change is not
 //     representable — nor desirable — in the circuit model of
@@ -52,9 +52,8 @@
 //
 //   online_dcfsr   On each event, re-solves the interval relaxation of
 //                  Algorithm 2 over the residual demands — warm-started
-//                  from the previous event's per-flow fractional flows,
-//                  stepping with pairwise Frank-Wolfe whenever warm
-//                  mass is carried (OnlineOptions::warm_step_rule), and
+//                  from the previous event's per-flow fractional flows
+//                  with the configured (pairwise) step rule, and
 //                  reusing one RelaxationWorkspace across the whole
 //                  run, so a re-solve costs a fraction of a cold solve —
 //                  then draws the new arrivals' paths by randomized
@@ -105,83 +104,56 @@
 
 namespace dcn {
 
-/// Order in which the per-flow admission fallback tries an arrival
-/// batch after joint batch admission fails.
-enum class FallbackAdmissionOrder : std::int32_t {
-  /// Closest deadline first, then higher density, then id — the
-  /// RCD-style urgency order (Noormohammadpour et al.): urgent, hard-
-  /// to-place flows draw their paths while the committed load is
-  /// lightest, instead of burning the batch's admission budget on
-  /// whichever flows happened to get low ids.
-  kDeadlineDensity = 0,
-  /// Ascending flow id (the historical order; kept for A/B runs).
-  kFlowId = 1,
-};
-
+/// Knobs of the online schedulers. The dcfsr event loop
+/// (ShardedScheduler: online_dcfsr, its flat/preempt/sharded variants
+/// and the stream service) reads every field; oracle_dcfsr reads
+/// `rounding` and `audit_load_index`; online_greedy reads only
+/// `audit_load_index`.
 struct OnlineOptions {
-  /// Relaxation + rounding knobs of the per-event re-solve
-  /// (online_dcfsr only). The rounding attempt budget doubles as the
-  /// per-event admission budget.
+  /// Relaxation + rounding knobs of the per-event re-solve, warm
+  /// re-solves and departure gap checks included. The rounding attempt
+  /// budget doubles as the per-event admission budget.
   RandomScheduleOptions rounding;
-  /// Step rule for re-solves that carry warm mass (at least one
-  /// admitted flow still in flight). Pairwise Frank-Wolfe sheds the
-  /// mass an arrival made suboptimal in a handful of steps; events
-  /// with nothing carried (the first event in particular) always use
-  /// the configured rounding.relaxation rule, which keeps the
-  /// all-at-t=0 degenerate case bit-identical to offline dcfsr.
-  FrankWolfeStepRule warm_step_rule = FrankWolfeStepRule::kPairwise;
-  /// Per-flow admission order after a failed joint batch admission.
-  FallbackAdmissionOrder fallback_order = FallbackAdmissionOrder::kDeadlineDensity;
-  /// Departures-only fast path: when admitted flows completed strictly
-  /// between two arrival events, the carried problem changed by
-  /// removal only and the remaining warm rows stay feasible — instead
-  /// of a full relaxation the completion point gets a single gap check
-  /// (a one-iteration warm re-solve) that certifies the rows or
-  /// improves them one step against the freed capacity.
-  bool departures_fast_path = true;
-  /// Lookahead window W for the per-event re-solves (online_dcfsr
-  /// only); 0 keeps today's full-horizon behavior bit for bit. With
-  /// W > 0 every residual flow whose deadline lies past now + W enters
-  /// the *relaxation* clipped to [release, now + W] at its original
-  /// density (volume scaled to the clipped span) — near-deadline
-  /// decisions only need a short lookahead (cf. RCD) and the interval
-  /// decomposition shrinks with W instead of the longest remaining
-  /// span. Admission stays sound at any W: the randomized rounding's
-  /// capacity accept/reject and the per-flow fallback always check the
-  /// *true* spans against the committed load, so a finite window can
-  /// never break an admitted deadline (asserted across the property
+  /// Lookahead window W for the per-event re-solves; 0 keeps the
+  /// full-horizon behavior bit for bit. With W > 0 every residual flow
+  /// whose deadline lies past now + W enters the *relaxation* clipped to
+  /// [release, now + W] at its original density (volume scaled to the
+  /// clipped span) — near-deadline decisions only need a short lookahead
+  /// (cf. RCD) and the interval decomposition shrinks with W instead of the
+  /// longest remaining span. Admission stays sound at any W: the randomized
+  /// rounding's capacity accept/reject and the per-flow fallback always
+  /// check the *true* spans against the committed load, so a finite window
+  /// can never break an admitted deadline (asserted across the property
   /// sweep). A window covering every span is bit-identical to W = 0.
   double lookahead_window = 0.0;
-  /// Admission epoch (online_dcfsr only); 0 keeps one event per
-  /// distinct release time (today's behavior bit for bit). With
-  /// epoch > 0 all arrivals whose releases land within `epoch` of the
-  /// event's first arrival are admitted in a single joint re-solve —
-  /// the event's decision point stays the *first* release (completions
-  /// pop and residual volumes shrink to it, so the joint capacity
-  /// check covers every batched span soundly); admitted batch members
-  /// keep their true releases and densities. This trades up to `epoch`
-  /// of extra decision latency (in trace time) for ~arrival_rate*epoch
-  /// fewer re-solves per unit time.
+  /// Admission epoch; 0 keeps one event per distinct release time bit for
+  /// bit. With epoch > 0 all arrivals whose releases land within `epoch` of
+  /// the event's first arrival are admitted in a single joint re-solve —
+  /// the event's decision point stays the *first* release (completions pop
+  /// and residual volumes shrink to it, so the joint capacity check covers
+  /// every batched span soundly); admitted batch members keep their true
+  /// releases and densities. This trades up to `epoch` of extra decision
+  /// latency (in trace time) for ~arrival_rate*epoch fewer re-solves per
+  /// unit time.
   double epoch = 0.0;
   /// Deadline-safe re-rating of admitted flows (the online_dcfsr_preempt
-  /// solver; online_dcfsr only). When an arrival does not fit against
-  /// the committed load — after the usual rounding attempts — a re-rate
-  /// pass may reshape the *future* rate profiles of admitted in-flight
-  /// flows that share an edge with the candidate path: their committed
-  /// futures are retracted from the load index, the arrival is placed
-  /// at its density, and each displaced flow is repacked within
-  /// [now, deadline] — at its flat residual density when that still
-  /// fits, else into the earliest remaining capacity (EDF) on its
-  /// committed path. Paths are never changed and the past is never
-  /// rewritten. The commit barrier: if any displaced flow cannot move
-  /// its full remaining volume by its deadline within capacity, every
-  /// profile is restored bitwise and the arrival is rejected — no
-  /// previously admitted deadline is ever broken (property-swept with
-  /// the audit shadow on, packet-sim replayed). Re-rated flows re-enter
-  /// subsequent relaxations pinned to their paths with residual-size
-  /// demands (their warm rows are dropped: the rows route the original
-  /// density, which a reshaped profile no longer has). false is
-  /// byte-identical to the plain event loop.
+  /// solver). When an arrival does not fit against the committed load —
+  /// after the usual rounding attempts — a re-rate pass may reshape the
+  /// *future* rate profiles of admitted in-flight flows that share an edge
+  /// with the candidate path: their committed futures are retracted from
+  /// the load index, the arrival is placed at its density, and each
+  /// displaced flow is repacked within [now, deadline] — at its flat
+  /// residual density when that still fits, else into the earliest
+  /// remaining capacity (EDF) on its committed path. Paths are never
+  /// changed and the past is never rewritten. The commit barrier: if any
+  /// displaced flow cannot move its full remaining volume by its deadline
+  /// within capacity, every profile is restored bitwise and the arrival is
+  /// rejected — no previously admitted deadline is ever broken
+  /// (property-swept with the audit shadow on, packet-sim replayed).
+  /// Re-rated flows re-enter subsequent relaxations pinned to their paths
+  /// with residual-size demands (their warm rows are dropped: the rows
+  /// route the original density, which a reshaped profile no longer has).
+  /// false is byte-identical to the plain event loop.
   bool allow_rerate = false;
   /// Differential audit: the EdgeLoadIndex keeps a naive never-pruned
   /// StepFunction shadow and cross-checks every probe bitwise (tests;

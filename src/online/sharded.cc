@@ -174,8 +174,7 @@ void ShardedScheduler::phase_a(GroupState& gs,
   // warm re-solve that certifies the rows or sheds one step of mass
   // onto the freed capacity — and this event's re-solve starts from
   // rows adapted to the post-departure network.
-  if (options_.departures_fast_path && std::isfinite(depart) &&
-      !gs.active.empty()) {
+  if (std::isfinite(depart) && !gs.active.empty()) {
     std::vector<Flow> survivors;
     std::vector<std::size_t> surviving;
     std::vector<SparseEdgeFlow> gap_rows;
@@ -217,7 +216,6 @@ void ShardedScheduler::phase_a(GroupState& gs,
     if (!survivors.empty()) {
       RelaxationOptions gap_options = options_.rounding.relaxation;
       gap_options.frank_wolfe.max_iterations = 1;
-      gap_options.frank_wolfe.step_rule = options_.warm_step_rule;
       FractionalRelaxation check =
           solve_relaxation(g_, survivors, model_, gap_options, &gs.workspace,
                            &gap_rows, &gap_atoms);
@@ -267,11 +265,9 @@ void ShardedScheduler::phase_a(GroupState& gs,
   }
   if (p.residual.empty()) return;  // p.solved stays false
 
-  // Warm-started re-solve over the group's shifted horizon. With warm
-  // mass carried (any admitted flow still in flight) it steps with the
-  // warm rule; an all-new event (the first one in particular) keeps the
-  // configured rule, so the all-at-t=0 case stays bit-identical to
-  // offline dcfsr. Flows whose deadlines lie past now + W enter the
+  // Warm-started re-solve over the group's shifted horizon with the
+  // configured rule (the all-at-t=0 case is then offline dcfsr bit for
+  // bit). Flows whose deadlines lie past now + W enter the
   // *relaxation* clipped to the window at their original densities —
   // admission below still checks the true spans, so the window affects
   // solve cost, never soundness; an epoch-batched arrival releasing at
@@ -304,11 +300,8 @@ void ShardedScheduler::phase_a(GroupState& gs,
       relax_flows = &clipped;
     }
   }
-  RelaxationOptions relax_options = options_.rounding.relaxation;
-  if (p.first_new > 0) {
-    relax_options.frank_wolfe.step_rule = options_.warm_step_rule;
-  }
-  p.relax = solve_relaxation(g_, *relax_flows, model_, relax_options,
+  p.relax = solve_relaxation(g_, *relax_flows, model_,
+                             options_.rounding.relaxation,
                              &gs.workspace, &warm_rows, &warm_atom_rows);
   p.solved = true;
   p.fw_iterations += p.relax.total_fw_iterations;
@@ -430,20 +423,18 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
   // The group's joint admission failed within its attempt budget: admit
   // its batch share one flow at a time, each against the committed load
   // only — so one unroutable elephant cannot veto a batch of mice. The
-  // default order is RCD-style close-to-deadline first (ties: denser
-  // first, then id), so urgent, hard-to-place flows draw their paths
-  // while the committed load is lightest.
+  // order is RCD-style close-to-deadline first (ties: denser first,
+  // then id), so urgent, hard-to-place flows draw their paths while the
+  // committed load is lightest.
   ++out_.batch_fallbacks;
   std::vector<std::size_t> fallback_order;
   for (std::size_t r = p.first_new; r < p.residual.size(); ++r) {
     fallback_order.push_back(r);
   }
-  if (options_.fallback_order == FallbackAdmissionOrder::kDeadlineDensity) {
-    std::sort(fallback_order.begin(), fallback_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return rcd_before(flows_[p.orig[a]], flows_[p.orig[b]]);
-              });
-  }
+  std::sort(fallback_order.begin(), fallback_order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return rcd_before(flows_[p.orig[a]], flows_[p.orig[b]]);
+            });
   for (const std::size_t r : fallback_order) {
     if (!place_arrival(r)) {
       ++out_.num_rejected;

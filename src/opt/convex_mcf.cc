@@ -154,10 +154,9 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     ws.x_generation_ = 0;
     ws.y_generation_ = 0;
   }
-  const FrankWolfeStepRule rule = options.step_rule;
-  // Both atom-based rules (pairwise and away-step) share the active-set
-  // machinery; kClassic never touches it.
-  const bool atomic = rule != FrankWolfeStepRule::kClassic;
+  // The pairwise rule keeps per-commodity active sets of path atoms;
+  // kClassic never touches them.
+  const bool atomic = options.step_rule == FrankWolfeStepRule::kPairwise;
   if (atomic && ws.dir_mark_.size() != num_edges) {
     ws.direction_.assign(num_edges, 0.0);
     ws.dir_mark_.assign(num_edges, 0);
@@ -291,7 +290,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   // Initial point: warm start when shapes match, otherwise route every
   // commodity on its cheapest path under the empty-network marginal
   // cost — which is exactly the clean workspace weights vector.
-  // Commodities with a carried active set (atom rules only) skip the
+  // Commodities with a carried active set (pairwise only) skip the
   // row copy: their rows are rebuilt from the atoms below, so the atom
   // representation and the edge flow agree to the last bit.
   const bool atoms_carried = atomic && warm_atoms != nullptr &&
@@ -506,20 +505,16 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
       break;
     }
 
-    // Atom sweep: one block-coordinate pass over the commodities.
-    // Under kPairwise each commodity picks the worst active atom under
-    // the current marginal costs as its away vertex and shifts mass
-    // from it onto the cheapest path; under kAwayStep it additionally
-    // weighs that against the Frank-Wolfe direction (the whole point
-    // moving toward the cheapest-path vertex) by inner product and
-    // steps along whichever descends faster. Every sub-step runs its
-    // own exact line search over the direction's edge difference, and
-    // marginal costs are refreshed on the touched edges after every
-    // sub-step, so later commodities in the sweep see the moved mass
-    // and the sweep decreases the objective monotonically — which is
-    // what lets misplaced warm mass leave in a handful of steps while
-    // well-placed commodities sit the sweep out (exactly what the
-    // classic joint step cannot do).
+    // Atom sweep: one block-coordinate pass over the commodities. Each
+    // commodity picks the worst active atom under the current marginal
+    // costs as its away vertex and shifts mass from it onto the cheapest
+    // path. Every sub-step runs its own exact line search over the
+    // direction's edge difference, and marginal costs are refreshed on the
+    // touched edges after every sub-step, so later commodities in the sweep
+    // see the moved mass and the sweep decreases the objective
+    // monotonically — which is what lets misplaced warm mass leave in a
+    // handful of steps while well-placed commodities sit the sweep out
+    // (exactly what the classic joint step cannot do).
     bool stepped = false;
     if (atomic) {
       auto path_cost = [&ws](const std::vector<EdgeId>& edges) {
@@ -567,10 +562,10 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
           touch_x(e);
         }
       };
-      auto minimize_direction = [&](double t_max) {
+      auto minimize_direction = [&]() {
         const auto t0 = Clock::now();
         const double t =
-            golden_section_minimize_direction(search_cost, ws.dir_diff_, t_max);
+            golden_section_minimize_direction(search_cost, ws.dir_diff_, 1.0);
         stats.line_search_seconds += seconds_since(t0);
         return t;
       };
@@ -578,7 +573,6 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
       const auto old_support = static_cast<std::ptrdiff_t>(ws.x_support_.size());
       for (std::size_t c = 0; c < num_commodities; ++c) {
         if (atoms[c].empty()) continue;
-        const double demand = problem.commodities[c].demand;
         double worst = -1.0;
         std::size_t away = 0;
         for (std::size_t a = 0; a < atoms[c].size(); ++a) {
@@ -591,116 +585,36 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
         const double cheapest = path_cost(ws.target_paths_[c].edges);
         if (worst <= cheapest) continue;  // this block is already optimal
 
-        if (rule == FrankWolfeStepRule::kPairwise) {
-          // The commodity's pairwise direction: its full away mass
-          // moves to the cheapest path; edges shared by both cancel.
-          ++ws.dir_generation_;
-          ws.dir_support_.clear();
-          const double mass = atoms[c][away].weight;
-          for (const EdgeId e : ws.target_paths_[c].edges) touch_dir(e, mass);
-          for (const EdgeId e : atoms[c][away].edges) touch_dir(e, -mass);
-          if (!collect_dir_diff()) continue;
-          const double t = minimize_direction(1.0);
-          if (t <= 1e-12) continue;
-
-          const double delta = t * mass;
-          for (const EdgeId e : ws.target_paths_[c].edges) {
-            sparse_flow_add(rows[c], e, delta);
-          }
-          for (const EdgeId e : atoms[c][away].edges) {
-            sparse_flow_add(rows[c], e, -delta);
-          }
-          // Compact near-zero entries occasionally to bound the support.
-          if (rows[c].size() > 256) {
-            std::erase_if(rows[c],
-                          [](const auto& kv) { return kv.second < 1e-12; });
-          }
-          // Merge the mass into the cheapest path's atom, then shrink —
-          // or on a drop step, remove — the away atom.
-          merge_into_atoms(atoms[c], ws.target_paths_[c].edges, delta);
-          if (t == 1.0) {
-            atoms[c].erase(atoms[c].begin() + static_cast<std::ptrdiff_t>(away));
-          } else {
-            atoms[c][away].weight -= delta;
-          }
-          apply_direction(t);
-          stepped = true;
-          continue;
-        }
-
-        // kAwayStep: inner products with the marginal costs decide the
-        // direction. With <w, x_c> =: dot,
-        //   d_fw   = demand * p* - x_c    <w, d_fw>   = demand * c* - dot
-        //   d_away = x_c - demand * p_a   <w, d_away> = dot - demand * c_a
-        // and both are <= 0 (c* is the cheapest path, c_a the costliest
-        // active atom); the steeper one wins. When the away atom
-        // carries (almost) the whole demand the away direction
-        // degenerates to ~0, so the FW direction takes over.
-        double dot = 0.0;
-        for (const auto& [e, v] : rows[c]) {
-          dot += ws.weights_[static_cast<std::size_t>(e)] * v;
-        }
-        const double mass = atoms[c][away].weight;
-        const double fw_descent = demand * cheapest - dot;
-        const double away_descent = dot - demand * worst;
-        const bool fw_step = fw_descent <= away_descent ||
-                             demand - mass <= 1e-12 * demand;
-
+        // The commodity's pairwise direction: its full away mass moves
+        // to the cheapest path; edges shared by both cancel.
         ++ws.dir_generation_;
         ws.dir_support_.clear();
-        double t_max;
-        if (fw_step) {
-          for (const EdgeId e : ws.target_paths_[c].edges) {
-            touch_dir(e, demand);
-          }
-          for (const auto& [e, v] : rows[c]) touch_dir(e, -v);
-          t_max = 1.0;
-        } else {
-          for (const auto& [e, v] : rows[c]) touch_dir(e, v);
-          for (const EdgeId e : atoms[c][away].edges) touch_dir(e, -demand);
-          // The largest step keeping the away atom's coefficient
-          // nonnegative: (1 + t) * mass - t * demand >= 0.
-          t_max = mass / (demand - mass);
-        }
+        const double mass = atoms[c][away].weight;
+        for (const EdgeId e : ws.target_paths_[c].edges) touch_dir(e, mass);
+        for (const EdgeId e : atoms[c][away].edges) touch_dir(e, -mass);
         if (!collect_dir_diff()) continue;
-        const double t = minimize_direction(t_max);
+        const double t = minimize_direction();
         if (t <= 1e-12) continue;
 
-        if (fw_step) {
-          const double delta = t * demand;
-          for (auto& [e, v] : rows[c]) v *= (1.0 - t);
-          for (const EdgeId e : ws.target_paths_[c].edges) {
-            sparse_flow_add(rows[c], e, delta);
-          }
-          if (rows[c].size() > 256) {
-            std::erase_if(rows[c],
-                          [](const auto& kv) { return kv.second < 1e-12; });
-          }
-          for (auto& atom : atoms[c]) atom.weight *= (1.0 - t);
-          merge_into_atoms(atoms[c], ws.target_paths_[c].edges, delta);
-          if (t == 1.0) {
-            // Full jump: the active set collapses onto the cheapest
-            // path (every other atom was scaled to exactly zero).
-            std::erase_if(atoms[c],
-                          [](const PathAtom& a) { return a.weight <= 0.0; });
-          }
+        const double delta = t * mass;
+        for (const EdgeId e : ws.target_paths_[c].edges) {
+          sparse_flow_add(rows[c], e, delta);
+        }
+        for (const EdgeId e : atoms[c][away].edges) {
+          sparse_flow_add(rows[c], e, -delta);
+        }
+        // Compact near-zero entries occasionally to bound the support.
+        if (rows[c].size() > 256) {
+          std::erase_if(rows[c],
+                        [](const auto& kv) { return kv.second < 1e-12; });
+        }
+        // Merge the mass into the cheapest path's atom, then shrink — or
+        // on a drop step, remove — the away atom.
+        merge_into_atoms(atoms[c], ws.target_paths_[c].edges, delta);
+        if (t == 1.0) {
+          atoms[c].erase(atoms[c].begin() + static_cast<std::ptrdiff_t>(away));
         } else {
-          const double delta = t * demand;
-          for (auto& [e, v] : rows[c]) v *= (1.0 + t);
-          for (const EdgeId e : atoms[c][away].edges) {
-            sparse_flow_add(rows[c], e, -delta);
-          }
-          if (rows[c].size() > 256) {
-            std::erase_if(rows[c],
-                          [](const auto& kv) { return kv.second < 1e-12; });
-          }
-          for (auto& atom : atoms[c]) atom.weight *= (1.0 + t);
-          if (t == t_max) {
-            // Drop step: the away atom drains exactly.
-            atoms[c].erase(atoms[c].begin() + static_cast<std::ptrdiff_t>(away));
-          } else {
-            atoms[c][away].weight -= delta;
-          }
+          atoms[c][away].weight -= delta;
         }
         apply_direction(t);
         stepped = true;
@@ -718,7 +632,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
 
     // Classic step: one joint convex combination toward the
     // all-cheapest-paths corner. The only step under kClassic; under
-    // the atom rules the fallback when no commodity offers a direction
+    // kPairwise the fallback when no commodity offers a direction
     // (empty active sets on cold rows) or every line search stalled.
     if (!stepped) {
       // Step size by golden section on the convex restriction,
@@ -803,7 +717,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   // dust, sort by edge id.
   for (SparseEdgeFlow& row : rows) sparse_flow_canonicalize(row, 1e-15);
 
-  // Hand the active sets to the caller (atom rules only): the atom
+  // Hand the active sets to the caller (pairwise only): the atom
   // decomposition of the final point, ready to seed the next related
   // solve without a Raghavan-Tompson pass. The workspace copy is
   // rebuilt per solve, so moving it out is free.

@@ -24,14 +24,12 @@
 // related instances (consecutive intervals of Algorithm 2) allocates
 // per-solve memory proportional to the solution support only.
 //
-// Three step rules (FrankWolfeOptions::step_rule): the classic joint
-// convex-combination step, a pairwise rule over the per-commodity path
-// polytopes that maintains explicit active sets of path atoms and moves
-// mass from the worst active atom onto the cheapest path — the repair
-// for the warm-start last-mile stall, where the classic step can only
-// shed warm mass geometrically, and the default since v2 — and the full
-// away-step rule, which picks the steeper of the Frank-Wolfe and away
-// directions per commodity.
+// Two step rules (FrankWolfeOptions::step_rule): the classic joint
+// convex-combination step, and the default pairwise rule over the
+// per-commodity path polytopes, which maintains explicit active sets of
+// path atoms and moves mass from the worst active atom onto the
+// cheapest path — the repair for the warm-start last-mile stall, where
+// the classic step can only shed warm mass geometrically.
 #pragma once
 
 #include <cmath>
@@ -142,7 +140,7 @@ enum class FrankWolfeStepRule : std::int32_t {
   /// so the bad mass decays only geometrically (the warm-start
   /// last-mile stall documented by tests/online_warm_start_test.cc).
   kClassic = 0,
-  /// Pairwise (away-step) Frank-Wolfe on the per-commodity path
+  /// Pairwise Frank-Wolfe on the per-commodity path
   /// polytopes: the solver maintains each commodity's active set of
   /// path atoms, picks the worst active atom against the current
   /// marginal costs as the away vertex, and shifts mass from it
@@ -155,17 +153,6 @@ enum class FrankWolfeStepRule : std::int32_t {
   /// classic rule stalls ~1e-4 from the optimum (bcube incast), and
   /// warm re-solves shed displaced mass in a handful of steps.
   kPairwise = 1,
-  /// Full away-step Frank-Wolfe on the same per-commodity active sets:
-  /// each commodity compares the Frank-Wolfe direction (move mass onto
-  /// the cheapest path from the whole point) against the away direction
-  /// (move mass off the worst active atom, expanding the point) by
-  /// inner product with the marginal costs and steps along whichever
-  /// descends faster, with an exact line search (a drop step removes
-  /// the away atom; a full FW step collapses the active set onto the
-  /// cheapest path). The textbook AFW companion to kPairwise, kept as
-  /// an A/B alternative: both converge linearly on the path polytopes
-  /// and certify the same objectives (tests/cold_path_test.cc).
-  kAwayStep = 2,
 };
 
 /// Deterministic per-phase counters plus a wall-time split of one solve
@@ -180,7 +167,7 @@ struct FrankWolfeStats {
   /// sweeps here).
   std::int64_t oracle_sweeps = 0;
   /// Marginal-cost writes: dense repricing passes count every edge,
-  /// sparse passes the support, pairwise/away sub-steps their touched
+  /// sparse passes the support, pairwise sub-steps their touched
   /// edges.
   std::int64_t edges_repriced = 0;
   /// Cost-function evaluations inside the golden-section line searches
@@ -212,10 +199,9 @@ struct FrankWolfeOptions {
   /// its dispatch overhead) entirely. > 0 pins the width; < 0 forces
   /// sequential.
   std::int32_t oracle_threads = 0;
-  /// Step rule. kPairwise (the v2 default) converges linearly on the
-  /// per-commodity path polytopes; kClassic keeps the pre-v2 trajectory
-  /// bit for bit; kAwayStep is the full away-step A/B alternative (see
-  /// the enum for the trade-offs).
+  /// Step rule. kPairwise (the default) converges linearly on the
+  /// per-commodity path polytopes; kClassic is the joint step the
+  /// pairwise rule falls back to (see the enum for the trade-offs).
   FrankWolfeStepRule step_rule = FrankWolfeStepRule::kPairwise;
   /// When true (default), the oracle groups commodities by source so
   /// one multi-target Dijkstra sweep serves every same-source
@@ -241,8 +227,8 @@ struct ConvexMcfSolution {
   double relative_gap = 0.0;
   std::int32_t iterations = 0;
   /// Per-commodity active sets at termination — populated under the
-  /// pairwise and away-step rules (empty vector under kClassic). atoms[c] is
-  /// a path decomposition of commodity_flow[c]; feed it back through
+  /// pairwise rule (empty vector under kClassic). atoms[c] is a path
+  /// decomposition of commodity_flow[c]; feed it back through
   /// `warm_atoms` to seed a later related solve without re-decomposing.
   std::vector<AtomSet> commodity_atoms;
   /// Per-phase counters and wall-time split of this solve.
@@ -258,9 +244,8 @@ class ConvexMcfWorkspace;
 /// when non-null, is reused across calls and eliminates all O(V)/O(E)
 /// scratch allocation after the first solve on a given graph.
 ///
-/// `warm_atoms`, when non-null and of matching length (pairwise and
-/// away-step rules), carries each commodity's active set from a previous related
-/// solve: a non-empty set seeds the commodity's atoms directly — its
+/// `warm_atoms`, when non-null and of matching length (pairwise rule),
+/// carries each commodity's active set from a previous related solve: a non-empty set seeds the commodity's atoms directly — its
 /// initial point is rebuilt from the atoms, the matching `warm_start`
 /// row is ignored, and the per-solve Raghavan-Tompson decomposition of
 /// that row is skipped. Atom weights must sum to the commodity's demand

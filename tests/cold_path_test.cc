@@ -1,25 +1,23 @@
-// The v2 cold-solve hot path: step-rule equivalence, oracle batching,
-// the adaptive parallel oracle, and the analytic envelope fast path.
+// The v2 cold-solve hot path: oracle batching, the adaptive parallel
+// oracle, the cold-stall fix, and the analytic envelope fast path.
 //
-// Five claims are pinned here:
+// Four claims are pinned here (classic-vs-pairwise objective
+// equivalence on the scenario grid lives in tests/pairwise_fw_test.cc):
 //
-//   1. Equivalence: classic, pairwise, and away-step solve the same
-//      convex programs to the same objective (to 1e-7 relative) across
-//      the scenario grid — the rules differ in trajectory, not optimum.
-//   2. Batching: grouping same-source commodities into one multi-target
+//   1. Batching: grouping same-source commodities into one multi-target
 //      Dijkstra sweep is bitwise equal to one sweep per commodity (the
 //      early exit never disturbs the parents of settled nodes), at
 //      strictly fewer sweeps.
-//   3. Adaptive parallel oracle: oracle_threads = 0 (the default),
+//   2. Adaptive parallel oracle: oracle_threads = 0 (the default),
 //      any pinned width, and forced-sequential all produce
 //      byte-identical solutions *and* identical deterministic phase
 //      counters — the counters are safe to byte-compare in canonical
 //      engine output.
-//   4. The cold-stall fix the v2 default flip ships: on the bcube
+//   3. The cold-stall fix the v2 default flip ships: on the bcube
 //      incast instance pairwise certifies gap <= 1e-6 within a pinned
 //      iteration budget where the classic rule, at the same budget,
 //      stalls orders of magnitude short.
-//   5. The analytic EnvelopeCostSpec reproduces the std::function
+//   4. The analytic EnvelopeCostSpec reproduces the std::function
 //      envelope callbacks bit for bit — same iterations, same cost,
 //      same flows — for the kinked (sigma > 0), quadratic, cubic, and
 //      generic-alpha envelopes, under every step rule.
@@ -88,52 +86,11 @@ void expect_bitwise_equal(const ConvexMcfSolution& a, const ConvexMcfSolution& b
   }
 }
 
-TEST(ColdPath, ThreeStepRulesAgreeOnTheScenarioGrid) {
-  const ScenarioSuite& suite = ScenarioSuite::default_suite();
-  for (const char* spec :
-       {"fat_tree/incast", "fat_tree/shuffle", "leaf_spine/shuffle",
-        "line/incast"}) {
-    for (const std::uint64_t seed : {3ull, 5ull}) {
-      ScenarioOptions sopt;
-      sopt.num_flows = 10;
-      const Instance inst = suite.build(spec, seed, sopt);
-
-      RelaxationOptions base;
-      base.frank_wolfe.max_iterations = 2000;
-      base.frank_wolfe.gap_tolerance = 1e-7;
-      RelaxationOptions classic = base;
-      classic.frank_wolfe.step_rule = FrankWolfeStepRule::kClassic;
-      RelaxationOptions pairwise = base;
-      pairwise.frank_wolfe.step_rule = FrankWolfeStepRule::kPairwise;
-      RelaxationOptions away = base;
-      away.frank_wolfe.step_rule = FrankWolfeStepRule::kAwayStep;
-
-      const FractionalRelaxation a =
-          solve_relaxation(inst.graph(), inst.flows(), inst.model(), classic);
-      const FractionalRelaxation b =
-          solve_relaxation(inst.graph(), inst.flows(), inst.model(), pairwise);
-      const FractionalRelaxation c =
-          solve_relaxation(inst.graph(), inst.flows(), inst.model(), away);
-      const std::string tag = std::string(spec) + "#" + std::to_string(seed);
-      EXPECT_NEAR(b.lower_bound_energy, a.lower_bound_energy,
-                  1e-7 * a.lower_bound_energy)
-          << tag;
-      EXPECT_NEAR(c.lower_bound_energy, a.lower_bound_energy,
-                  1e-7 * a.lower_bound_energy)
-          << tag;
-      // The atom rules must actually certify the tight tolerance.
-      EXPECT_LE(b.mean_relative_gap, 1e-7) << tag;
-      EXPECT_LE(c.mean_relative_gap, 1e-7) << tag;
-    }
-  }
-}
-
 TEST(ColdPath, BatchedOracleIsBitwiseEqualToPerCommoditySweeps) {
   const Topology topo = fat_tree(4);
   const PowerModel model = PowerModel::pure_speed_scaling(2.0);
   for (const FrankWolfeStepRule rule :
-       {FrankWolfeStepRule::kClassic, FrankWolfeStepRule::kPairwise,
-        FrankWolfeStepRule::kAwayStep}) {
+       {FrankWolfeStepRule::kClassic, FrankWolfeStepRule::kPairwise}) {
     ConvexMcfProblem p = power_problem(topo.graph(), model);
     add_fat_tree_commodities(p, topo);
     FrankWolfeOptions batched;
@@ -229,8 +186,7 @@ TEST(ColdPath, EnvelopeSpecMatchesCallbacksBitwise) {
   };
   for (const PowerModel& model : models) {
     for (const FrankWolfeStepRule rule :
-         {FrankWolfeStepRule::kClassic, FrankWolfeStepRule::kPairwise,
-          FrankWolfeStepRule::kAwayStep}) {
+         {FrankWolfeStepRule::kClassic, FrankWolfeStepRule::kPairwise}) {
       ConvexMcfProblem generic = power_problem(topo.graph(), model);
       add_fat_tree_commodities(generic, topo);
       ConvexMcfProblem analytic = power_problem(topo.graph(), model);

@@ -17,16 +17,16 @@ namespace {
 TEST(SolverRegistry, DefaultRegistryCarriesEveryAlgorithm) {
   const SolverRegistry& registry = default_registry();
   for (const char* name :
-       {"mcf", "mcf_paper", "mcf_plain", "sp_mcf", "dcfsr", "dcfsr_classic",
-        "ecmp_mcf", "greedy", "edf", "exact", "online_dcfsr",
-        "online_dcfsr_id", "online_dcfsr_flat", "online_dcfsr_preempt",
-        "online_dcfsr_sharded", "online_greedy", "oracle_dcfsr"}) {
+       {"mcf", "mcf_paper", "mcf_plain", "sp_mcf", "dcfsr", "ecmp_mcf",
+        "greedy", "edf", "exact", "online_dcfsr", "online_dcfsr_flat",
+        "online_dcfsr_preempt", "online_dcfsr_sharded", "online_greedy",
+        "oracle_dcfsr"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const std::unique_ptr<Solver> solver = registry.create(name);
     EXPECT_EQ(solver->name(), name);
     EXPECT_FALSE(solver->description().empty());
   }
-  EXPECT_EQ(registry.size(), 17u);
+  EXPECT_EQ(registry.size(), 15u);
 }
 
 TEST(SolverRegistry, UnknownSolverThrowsWithCatalogue) {

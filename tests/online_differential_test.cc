@@ -20,6 +20,7 @@
 #include "online/online_scheduler.h"
 #include "sim/packet_sim.h"
 #include "sim/replay.h"
+#include "topology/builders.h"
 
 namespace dcn::engine {
 namespace {
@@ -379,6 +380,26 @@ TEST_F(OnlineDifferentialTest, ReRatedProfilesMeetDeadlinesInPacketReplay) {
   }
   EXPECT_GE(total_rerate_commits, 1.0)
       << "sweep never committed a re-rate; tighten the scenario";
+}
+
+TEST_F(OnlineDifferentialTest, PerFlowFallbackAdmitsClosestDeadlineFirst) {
+  // Two flows leave one host in the same event at density 2 each; the
+  // host uplink (capacity 3) fits either alone but not both, so the
+  // joint draw fails and the per-flow fallback decides. The RCD order
+  // tries the earlier deadline first: flow 1 is admitted and flow 0,
+  // the lower id, is rejected (id order would do the opposite).
+  const Topology topo = fat_tree(4);
+  const std::vector<NodeId>& hosts = topo.hosts();
+  const std::vector<Flow> flows = {
+      {0, hosts[0], hosts[5], 20.0, 0.0, 10.0},
+      {1, hosts[0], hosts[6], 10.0, 0.0, 5.0},
+  };
+  const PowerModel model(1.0, 1.0, 2.0, 3.0);
+  Rng rng(17);
+  const OnlineResult r = online_dcfsr(topo.graph(), flows, model, rng);
+  EXPECT_EQ(r.batch_fallbacks, 1);
+  EXPECT_FALSE(r.admitted[0]);
+  EXPECT_TRUE(r.admitted[1]);
 }
 
 TEST_F(OnlineDifferentialTest, AdmittedFlowsMeetDeadlinesInPacketReplay) {

@@ -1,4 +1,4 @@
-// Pairwise (away-step) Frank-Wolfe — the repair for the warm-start
+// Pairwise Frank-Wolfe — the repair for the warm-start
 // last-mile stall.
 //
 // Three claims are pinned here:
@@ -180,7 +180,7 @@ TEST(PairwiseFrankWolfe, ParallelOracleIsByteIdentical) {
 
 TEST(PairwiseFrankWolfe, OnlineBatchGridIsJobsInvariant) {
   engine::BatchSpec spec;
-  spec.solvers = {"online_dcfsr", "online_dcfsr_id", "oracle_dcfsr"};
+  spec.solvers = {"online_dcfsr", "online_dcfsr_flat", "oracle_dcfsr"};
   spec.scenarios = {"fat_tree/poisson", "leaf_spine/hadoop"};
   spec.seeds = {1, 2};
   spec.options.num_flows = 10;
@@ -249,7 +249,7 @@ TEST(OnlineDeparturesFastPath, CompletionWindowGetsGapCheckNotFullResolve) {
   // Two events: {A, B} arrive at t = 0, C arrives at t = 50. A
   // completes at t = 10 < 50 while B is still in flight, so the
   // completion window must be handled by exactly one single-iteration
-  // gap check — and with the fast path disabled, by none.
+  // gap check.
   const Topology topo = fat_tree(4);
   const std::vector<NodeId>& hosts = topo.hosts();
   std::vector<Flow> flows;
@@ -258,28 +258,19 @@ TEST(OnlineDeparturesFastPath, CompletionWindowGetsGapCheckNotFullResolve) {
   flows.push_back({2, hosts[2], hosts[7], 20.0, 50.0, 100.0});
   const PowerModel model(1.0, 1.0, 2.0, 8.0);
 
-  for (const bool fast_path : {true, false}) {
-    OnlineOptions options;
-    options.rounding.relaxation.frank_wolfe.max_iterations = 15;
-    options.rounding.relaxation.frank_wolfe.gap_tolerance = 2e-3;
-    options.departures_fast_path = fast_path;
-    Rng rng(17);
-    const OnlineResult r =
-        online_dcfsr(topo.graph(), flows, model, rng, options);
+  OnlineOptions options;
+  options.rounding.relaxation.frank_wolfe.max_iterations = 15;
+  options.rounding.relaxation.frank_wolfe.gap_tolerance = 2e-3;
+  Rng rng(17);
+  const OnlineResult r = online_dcfsr(topo.graph(), flows, model, rng, options);
 
-    EXPECT_EQ(r.num_events, 2);
-    EXPECT_EQ(r.resolves, 2);  // full relaxations: one per arrival event
-    EXPECT_EQ(r.num_admitted, 3);
-    if (fast_path) {
-      EXPECT_EQ(r.departure_gap_checks, 1);
-      // One interval (B alone over [10, 100]) checked with a budget of
-      // one iteration.
-      EXPECT_EQ(r.gap_check_iterations, 1);
-    } else {
-      EXPECT_EQ(r.departure_gap_checks, 0);
-      EXPECT_EQ(r.gap_check_iterations, 0);
-    }
-  }
+  EXPECT_EQ(r.num_events, 2);
+  EXPECT_EQ(r.resolves, 2);  // full relaxations: one per arrival event
+  EXPECT_EQ(r.num_admitted, 3);
+  EXPECT_EQ(r.departure_gap_checks, 1);
+  // One interval (B alone over [10, 100]) checked with a budget of one
+  // iteration.
+  EXPECT_EQ(r.gap_check_iterations, 1);
 }
 
 }  // namespace
