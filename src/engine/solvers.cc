@@ -7,6 +7,7 @@
 #include "baselines/baselines.h"
 #include "common/contracts.h"
 #include "common/interval.h"
+#include "common/stats.h"
 #include "sim/replay.h"
 
 namespace dcn::engine {
@@ -18,15 +19,6 @@ namespace {
 /// replaying them against their full volumes would always fail). The
 /// full-size schedule (rejected rows empty) still travels in the
 /// outcome for inspection.
-/// Nearest-rank percentile of an unsorted sample, p in [0, 1].
-double percentile(std::vector<double>& xs, double p) {
-  DCN_EXPECTS(!xs.empty());
-  std::sort(xs.begin(), xs.end());
-  const std::size_t idx =
-      static_cast<std::size_t>(p * static_cast<double>(xs.size() - 1) + 0.5);
-  return xs[idx];
-}
-
 SolverOutcome finish_online_outcome(const std::string& solver,
                                     const Instance& instance,
                                     OnlineResult result) {

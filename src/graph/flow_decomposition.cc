@@ -9,7 +9,7 @@ namespace dcn {
 std::vector<WeightedPath> decompose_flow_sparse(const Graph& g, NodeId src,
                                                 NodeId dst,
                                                 const SparseEdgeFlow& edge_flow,
-                                                double demand, double tolerance,
+                                                double demand,
                                                 FlowDecompositionWorkspace* workspace) {
   DCN_EXPECTS(g.valid_node(src));
   DCN_EXPECTS(g.valid_node(dst));
@@ -85,7 +85,7 @@ std::vector<WeightedPath> decompose_flow_sparse(const Graph& g, NodeId src,
     }
   }
 
-  const double threshold = tolerance * demand;
+  const double threshold = kDecompositionTolerance * demand;
   ws.parent_arc_.assign(n_local, -1);
   ws.seen_.assign(n_local, 0);
   std::vector<WeightedPath> result;
@@ -153,13 +153,13 @@ std::vector<WeightedPath> decompose_flow_sparse(const Graph& g, NodeId src,
 
 std::vector<WeightedPath> decompose_flow(const Graph& g, NodeId src, NodeId dst,
                                          std::vector<double> edge_flow,
-                                         double demand, double tolerance) {
+                                         double demand) {
   DCN_EXPECTS(edge_flow.size() == static_cast<std::size_t>(g.num_edges()));
   SparseEdgeFlow sparse;
   for (std::size_t e = 0; e < edge_flow.size(); ++e) {
     if (edge_flow[e] > 0.0) sparse.emplace_back(static_cast<EdgeId>(e), edge_flow[e]);
   }
-  return decompose_flow_sparse(g, src, dst, sparse, demand, tolerance);
+  return decompose_flow_sparse(g, src, dst, sparse, demand);
 }
 
 }  // namespace dcn

@@ -29,22 +29,24 @@ struct WeightedPath {
 
 class FlowDecompositionWorkspace;
 
+/// Fraction of the demand below which the decomposition treats residual
+/// flow as float slop or a tiny circulation.
+inline constexpr double kDecompositionTolerance = 1e-9;
+
 /// Decomposes a sparse per-edge flow of one commodity into simple paths
 /// from src to dst, walking only the support subgraph.
 ///
 /// `demand` is the commodity total; returned weights are normalized to
 /// sum to exactly 1 (they are used as a probability distribution by the
-/// randomized rounding). Residual flow below `tolerance * demand` (float
-/// slop or tiny circulations) is discarded proportionally. `workspace`,
-/// when non-null, is reused across calls and removes all per-call
-/// scratch allocation (the relaxation decomposes every flow in every
-/// interval).
+/// randomized rounding). Residual flow below kDecompositionTolerance *
+/// demand is discarded proportionally. `workspace`, when non-null, is
+/// reused across calls and removes all per-call scratch allocation (the
+/// relaxation decomposes every flow in every interval).
 ///
 /// Requires demand > 0 and at least one extractable path.
 [[nodiscard]] std::vector<WeightedPath> decompose_flow_sparse(
     const Graph& g, NodeId src, NodeId dst, const SparseEdgeFlow& edge_flow,
-    double demand, double tolerance = 1e-9,
-    FlowDecompositionWorkspace* workspace = nullptr);
+    double demand, FlowDecompositionWorkspace* workspace = nullptr);
 
 /// Reusable scratch for decompose_flow_sparse: the node-id compaction
 /// map (generation-stamped, graph-sized) and all support-sized arrays.
@@ -55,7 +57,7 @@ class FlowDecompositionWorkspace {
 
  private:
   friend std::vector<WeightedPath> decompose_flow_sparse(
-      const Graph&, NodeId, NodeId, const SparseEdgeFlow&, double, double,
+      const Graph&, NodeId, NodeId, const SparseEdgeFlow&, double,
       FlowDecompositionWorkspace*);
 
   std::vector<std::int32_t> local_id_;     // per graph node; valid iff marked
@@ -79,6 +81,6 @@ class FlowDecompositionWorkspace {
 /// Dense convenience wrapper: `edge_flow` has size g.num_edges().
 [[nodiscard]] std::vector<WeightedPath> decompose_flow(
     const Graph& g, NodeId src, NodeId dst, std::vector<double> edge_flow,
-    double demand, double tolerance = 1e-9);
+    double demand);
 
 }  // namespace dcn

@@ -80,19 +80,9 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   // The empty-network marginal weights are identical for every interval
   // and every new flow: hoist them out of the loops.
   const auto num_edges = static_cast<std::size_t>(g.num_edges());
-  const double w_zero = std::max(model.envelope_derivative(0.0), 1e-9);
+  const EnvelopeCostSpec& envelope = model.envelope_cost();
+  const double w_zero = std::max(envelope.derivative(0.0), kMinEdgeWeight);
   const std::vector<double> w0(num_edges, w_zero);
-
-  // Analytic description of the envelope handed to the solver's dense
-  // repricing fast path; reproduces the model.envelope* callbacks bit
-  // for bit (see EnvelopeCostSpec), so attaching it cannot change any
-  // trajectory — it only removes the per-edge std::function calls.
-  EnvelopeCostSpec spec;
-  spec.sigma = model.sigma();
-  spec.mu = model.mu();
-  spec.alpha = model.alpha();
-  spec.r_hat = model.r_hat();
-  spec.env_slope = model.envelope_derivative(0.0);
 
   // Scratch for grouping an interval's new flows by source.
   std::vector<std::pair<NodeId, std::size_t>> new_by_source;
@@ -109,11 +99,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
 
     ConvexMcfProblem problem;
     problem.graph = &g;
-    problem.cost = [&model](double x) { return model.envelope(x); };
-    problem.cost_derivative = [&model](double x) {
-      return model.envelope_derivative(x);
-    };
-    problem.envelope = spec;
+    problem.cost = envelope;
     problem.commodities.reserve(active.size());
     for (FlowId fid : active) {
       const Flow& fl = flows[static_cast<std::size_t>(fid)];
@@ -159,7 +145,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
         }
       }
       for (double& w : loaded_weights) {
-        w = std::max(spec.derivative(w), 1e-9);
+        w = std::max(envelope.derivative(w), kMinEdgeWeight);
       }
       init_weights = &loaded_weights;
     }
@@ -236,7 +222,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
       } else {
         const std::vector<WeightedPath> paths = decompose_flow_sparse(
             g, fl.src, fl.dst, sol.commodity_flow[c], fl.density(),
-            options.decomposition_tolerance, &decomposition_workspace);
+            &decomposition_workspace);
         for (const WeightedPath& wp : paths) {
           accum[fid][wp.path.edges] += wp.weight * interval_share;
         }

@@ -6,8 +6,9 @@
 // of rate D_i (its density), may split over multiple paths, and links
 // may switch on and off freely. The resulting problem decomposes into
 // one convex-cost F-MCF per interval, solved by Frank-Wolfe against the
-// convex envelope of the power function f. Per interval, the fractional
-// per-commodity solution y*_{i,e}(k) is decomposed into weighted paths
+// convex envelope of the power function f (PowerModel::envelope_cost is
+// the problem's cost). Per interval, the fractional per-commodity
+// solution y*_{i,e}(k) is decomposed into weighted paths
 // (Raghavan-Tompson); the per-interval weights are then aggregated into
 //
 //     wbar_P = sum_k w_P(k) * |I_k| / (d_i - r_i),
@@ -50,8 +51,6 @@ struct RelaxationOptions {
   /// kClassic remains selectable as the plain joint step. See
   /// FrankWolfeStepRule.
   FrankWolfeOptions frank_wolfe;
-  /// Tolerance passed to the path decomposition.
-  double decomposition_tolerance = 1e-9;
 };
 
 struct FractionalRelaxation {

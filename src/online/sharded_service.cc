@@ -5,11 +5,11 @@
 // EventStream, flushes periodic service stats, never materializes the
 // trace). All three drive ShardedScheduler::process_batch; the engine
 // itself lives in sharded.cc.
-#include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "common/contracts.h"
+#include "common/stats.h"
 #include "online/sharded.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -119,14 +119,8 @@ OnlineResult run_online_stream(
   ShardedScheduler sched(g, model, options, plan, stream_seed, workers,
                          discard_completed);
 
-  auto percentile = [](std::vector<double> values, double q) {
-    if (values.empty()) return 0.0;
-    const auto k = static_cast<std::size_t>(
-        q * static_cast<double>(values.size() - 1) + 0.5);
-    std::nth_element(values.begin(),
-                     values.begin() + static_cast<std::ptrdiff_t>(k),
-                     values.end());
-    return values[k];
+  auto latency_percentile = [](const std::vector<double>& values, double q) {
+    return values.empty() ? 0.0 : percentile(values, q);
   };
   auto flush = [&](double now) {
     if (!on_flush) return;
@@ -139,8 +133,8 @@ OnlineResult run_online_stream(
     s.completed = sched.completed();
     s.in_flight = sched.in_flight();
     s.resolves = r.resolves;
-    s.p50_ms = percentile(r.decision_latency_ms, 0.50);
-    s.p99_ms = percentile(r.decision_latency_ms, 0.99);
+    s.p50_ms = latency_percentile(r.decision_latency_ms, 0.50);
+    s.p99_ms = latency_percentile(r.decision_latency_ms, 0.99);
     s.peak_live_segments = sched.peak_live_segments();
     s.segments_pruned = sched.load_segments_pruned();
     s.peak_rss_kb = peak_rss_kb();

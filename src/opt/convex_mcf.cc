@@ -67,16 +67,15 @@ void group_by_sweep_root(const Graph& g,
 }
 
 /// One vectorizable pass over the whole weights array:
-/// w[i] = max(env'(x[i]), min_w). The per-alpha loops keep the body
-/// branch-light — one select for the envelope kink, no calls — so the
-/// compiler can vectorize them; results are bit-identical to the
-/// scalar spec.derivative() path (same operation order, and
-/// std::pow(x, 2.0) is correctly rounded, hence bit-equal to x * x).
-/// Entries with x[i] == 0 come out as exactly max(env_slope, min_w) ==
+/// w[i] = max(env'(x[i]), kMinEdgeWeight). The per-alpha loops keep the
+/// body branch-light — one select for the envelope kink, no calls — so
+/// the compiler can vectorize them; results are bit-identical to the
+/// scalar env.derivative() path (same operation order). Entries with
+/// x[i] == 0 come out as exactly max(env_slope, kMinEdgeWeight) ==
 /// w_zero, which is what preserves the workspace's clean-weights
 /// invariant for off-support edges.
 void dense_reprice(std::vector<double>& weights, const std::vector<double>& x,
-                   const EnvelopeCostSpec& env, double min_w) {
+                   const EnvelopeCostSpec& env) {
   const std::size_t n = x.size();
   const double r_hat = env.r_hat;
   const double slope = env.env_slope;
@@ -85,18 +84,18 @@ void dense_reprice(std::vector<double>& weights, const std::vector<double>& x,
     for (std::size_t i = 0; i < n; ++i) {
       const double xi = x[i];
       const double d = xi <= r_hat ? slope : ma * xi;
-      weights[i] = std::max(d, min_w);
+      weights[i] = std::max(d, kMinEdgeWeight);
     }
   } else if (env.alpha == 3.0) {
     const double ma = env.mu * env.alpha;
     for (std::size_t i = 0; i < n; ++i) {
       const double xi = x[i];
       const double d = xi <= r_hat ? slope : ma * (xi * xi);
-      weights[i] = std::max(d, min_w);
+      weights[i] = std::max(d, kMinEdgeWeight);
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      weights[i] = std::max(env.derivative(x[i]), min_w);
+      weights[i] = std::max(env.derivative(x[i]), kMinEdgeWeight);
     }
   }
 }
@@ -109,8 +108,6 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
                                    ConvexMcfWorkspace* workspace,
                                    const std::vector<AtomSet>* warm_atoms) {
   DCN_EXPECTS(problem.graph != nullptr);
-  DCN_EXPECTS(static_cast<bool>(problem.cost));
-  DCN_EXPECTS(static_cast<bool>(problem.cost_derivative));
   const Graph& g = *problem.graph;
   const auto num_edges = static_cast<std::size_t>(g.num_edges());
   const std::size_t num_commodities = problem.commodities.size();
@@ -129,20 +126,13 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   ConvexMcfWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
   FrankWolfeStats stats;
 
-  // The analytic envelope fast path; the std::function callbacks stay
-  // as the generic fallback (and the bitwise reference — the spec is
-  // documented to reproduce them bit for bit).
-  const EnvelopeCostSpec* env =
-      problem.envelope.has_value() ? &*problem.envelope : nullptr;
-  auto cost_value = [&](double v) {
-    return env != nullptr ? env->value(v) : problem.cost(v);
-  };
+  // A local copy keeps the hot loops' cost arithmetic in registers.
+  const EnvelopeCostSpec env = problem.cost;
 
   // Restore the workspace invariants (weights all w_zero, target flow
   // all zero) when the graph, the cost model, or an interrupted prior
   // solve invalidated them.
-  const double w_zero =
-      std::max(problem.cost_derivative(0.0), problem.min_edge_weight);
+  const double w_zero = std::max(env.derivative(0.0), kMinEdgeWeight);
   if (ws.weights_.size() != num_edges || ws.w_zero_ != w_zero || !ws.clean_) {
     ws.weights_.assign(num_edges, w_zero);
     ws.target_total_.assign(num_edges, 0.0);
@@ -358,7 +348,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
       if (warm_rows) {
         const std::vector<WeightedPath> paths =
             decompose_flow_sparse(g, com.src, com.dst, rows[c], com.demand,
-                                  1e-9, &ws.atom_seed_);
+                                  &ws.atom_seed_);
         atoms[c].reserve(paths.size());
         rows[c].clear();
         for (const WeightedPath& wp : paths) {
@@ -386,46 +376,33 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   auto& x = sol.total_flow;
   auto& y = ws.target_total_;
 
-  // The cost callback handed to the directional line searches: the
-  // analytic envelope when a spec is attached, the generic callback
-  // otherwise — plus the per-evaluation counter either way. A concrete
-  // lambda (not std::function): the templated golden-section search
-  // inlines it, and with a spec the whole evaluation is straight-line
-  // arithmetic — this is the single hottest call site of a cold solve.
+  // The cost handed to the directional line searches, plus the
+  // per-evaluation counter. A concrete lambda: the templated
+  // golden-section search inlines it, so the whole evaluation is
+  // straight-line arithmetic — this is the single hottest call site of
+  // a cold solve.
   const auto search_cost = [&](double v) {
     ++stats.line_search_evals;
-    return env != nullptr ? env->value(v) : problem.cost(v);
+    return env.value(v);
   };
 
   for (std::int32_t iter = 0; iter < options.max_iterations; ++iter) {
     sol.iterations = iter + 1;
 
-    // Reprice the marginal costs. With an analytic envelope spec the
-    // pass is direct arithmetic — dense over the whole weights array
+    // Reprice the marginal costs: dense over the whole weights array
     // when the support covers enough of it (the per-alpha loops
     // vectorize, and off-support entries recompute exactly w_zero, so
     // the clean-weights invariant survives), sparse over the sorted
-    // support otherwise. Without a spec the generic callback runs over
-    // the support as before. All variants write bit-identical weights.
+    // support otherwise. Both write bit-identical weights.
     {
       const auto t0 = Clock::now();
-      if (env != nullptr && ws.x_support_.size() * 4 >= num_edges) {
-        dense_reprice(ws.weights_, x, *env, problem.min_edge_weight);
+      if (ws.x_support_.size() * 4 >= num_edges) {
+        dense_reprice(ws.weights_, x, env);
         stats.edges_repriced += static_cast<std::int64_t>(num_edges);
-      } else if (env != nullptr) {
-        const EnvelopeCostSpec spec = *env;
-        for (const EdgeId e : ws.x_support_) {
-          const auto i = static_cast<std::size_t>(e);
-          ws.weights_[i] =
-              std::max(spec.derivative(x[i]), problem.min_edge_weight);
-        }
-        stats.edges_repriced +=
-            static_cast<std::int64_t>(ws.x_support_.size());
       } else {
         for (const EdgeId e : ws.x_support_) {
           const auto i = static_cast<std::size_t>(e);
-          ws.weights_[i] =
-              std::max(problem.cost_derivative(x[i]), problem.min_edge_weight);
+          ws.weights_[i] = std::max(env.derivative(x[i]), kMinEdgeWeight);
         }
         stats.edges_repriced +=
             static_cast<std::int64_t>(ws.x_support_.size());
@@ -439,7 +416,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     double current_cost = 0.0;
     for (const EdgeId e : ws.x_support_) {
       const double xe = x[static_cast<std::size_t>(e)];
-      if (xe > 1e-15) current_cost += cost_value(xe);
+      if (xe > 1e-15) current_cost += env.value(xe);
     }
 
     // Linearized subproblem: one cheapest path per commodity.
@@ -489,7 +466,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
         if (xe != ye) {
           ws.line_search_diff_.emplace_back(xe, ye);
         } else if (xe > 1e-15) {
-          line_constant += cost_value(xe);
+          line_constant += env.value(xe);
         }
       }
     }
@@ -554,10 +531,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
           const auto i = static_cast<std::size_t>(e);
           if (ws.direction_[i] == 0.0) continue;
           x[i] = std::max(0.0, x[i] + t * ws.direction_[i]);
-          const double d = env != nullptr
-                               ? env->derivative(x[i])
-                               : problem.cost_derivative(x[i]);
-          ws.weights_[i] = std::max(d, problem.min_edge_weight);
+          ws.weights_[i] = std::max(env.derivative(x[i]), kMinEdgeWeight);
           ++stats.edges_repriced;
           touch_x(e);
         }
@@ -645,7 +619,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
               const double v = (1.0 - t) * xe + t * ye;
               if (v > 1e-15) {
                 ++stats.line_search_evals;
-                c += cost_value(v);
+                c += env.value(v);
               }
             }
             return c;
@@ -710,7 +684,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   sol.cost = 0.0;
   for (const EdgeId e : ws.x_support_) {
     const double xe = x[static_cast<std::size_t>(e)];
-    if (xe > 1e-15) sol.cost += cost_value(xe);
+    if (xe > 1e-15) sol.cost += env.value(xe);
   }
 
   // Canonicalize the per-commodity rows for the caller: drop float

@@ -1,8 +1,13 @@
 // Convex-cost fractional multi-commodity flow via Frank-Wolfe
 // (the classical "flow deviation" method).
 //
-// minimize   sum_e cost(x_e)         x_e = sum_c y_{c,e}
+// minimize   sum_e env(x_e)          x_e = sum_c y_{c,e}
 // subject to y_c routes demand_c from src_c to dst_c (fractionally)
+//
+// where env is the convex envelope of the link power function f
+// (EnvelopeCostSpec, built once by PowerModel) — the only cost the
+// relaxation ever minimizes, so the solver evaluates it as direct
+// arithmetic in every hot loop.
 //
 // This is the per-interval F-MCF problem of Definition 4 that
 // Random-Schedule solves "by convex programming". Frank-Wolfe fits the
@@ -32,12 +37,9 @@
 // the classic step can only shed warm mass geometrically.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -46,6 +48,7 @@
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
 #include "graph/sparse_flow.h"
+#include "power/power_model.h"
 
 namespace dcn {
 
@@ -56,61 +59,19 @@ struct Commodity {
   double demand = 0.0;
 };
 
-/// Analytic description of the PowerModel convex envelope,
-///
-///     env(x) = env_slope * x                 for x <= r_hat
-///     env(x) = sigma + mu * x^alpha          for x >  r_hat,
-///
-/// attached to a problem so the solver's hot loops (per-iteration edge
-/// repricing, line-search evaluation) run as direct arithmetic instead
-/// of indirect std::function calls — the dense repricing pass
-/// vectorizes, and alpha == 2 / alpha == 3 take pow-free fast paths.
-///
-/// Bitwise contract: value() and derivative() reproduce
-/// PowerModel::envelope / ::envelope_derivative bit for bit (identical
-/// operation order, incl. the pow fast paths), so attaching a spec
-/// never changes any solver output — only how fast it is computed. The
-/// sigma == 0 degenerate case (r_hat == 0, env_slope == 0) falls out:
-/// x <= 0 only at x == 0, where both pieces meet at 0.
-struct EnvelopeCostSpec {
-  double sigma = 0.0;
-  double mu = 1.0;
-  double alpha = 2.0;
-  double r_hat = 0.0;      // min(r_opt, capacity); 0 when sigma == 0
-  double env_slope = 0.0;  // f(r_hat)/r_hat; 0 when r_hat == 0
-
-  [[nodiscard]] double value(double x) const {
-    if (x <= r_hat) return env_slope * x;
-    if (alpha == 2.0) return sigma + mu * (x * x);
-    return sigma + mu * std::pow(x, alpha);
-  }
-  [[nodiscard]] double derivative(double x) const {
-    if (x <= r_hat) return env_slope;
-    if (alpha == 2.0) return mu * alpha * x;
-    // std::pow(x, 2.0) is correctly rounded, hence bit-equal to x * x.
-    if (alpha == 3.0) return mu * alpha * (x * x);
-    return mu * alpha * std::pow(x, alpha - 1.0);
-  }
-};
-
-/// Problem definition. `cost` must be convex and non-decreasing on
-/// [0, inf); `cost_derivative` its (sub)derivative. The solver floors
-/// shortest-path weights at `min_edge_weight` so that a zero marginal
+/// Shortest-path weights are floored here, so that a zero marginal
 /// cost at x = 0 (pure speed scaling, sigma = 0) still yields
 /// shortest-hop-like, well-posed subproblems.
+inline constexpr double kMinEdgeWeight = 1e-9;
+
+/// Problem definition: route every commodity at least cost under the
+/// convex, non-decreasing `cost` — the power model's convex envelope
+/// (PowerModel::envelope_cost); the default spec is the pure quadratic
+/// x^2.
 struct ConvexMcfProblem {
   const Graph* graph = nullptr;
   std::vector<Commodity> commodities;
-  // dcn-lint: allow(std-function-hot) problem-definition callbacks: only the generic fallback calls them per edge; the hot loops take EnvelopeCostSpec's analytic path (PR 6)
-  std::function<double(double)> cost;
-  // dcn-lint: allow(std-function-hot) same problem-definition callback as `cost`
-  std::function<double(double)> cost_derivative;
-  double min_edge_weight = 1e-9;
-  /// Optional analytic fast path. When set, it MUST describe the same
-  /// functions as `cost`/`cost_derivative` (see EnvelopeCostSpec): the
-  /// solver evaluates the spec in its hot loops and the callbacks stay
-  /// as the generic fallback for non-envelope costs.
-  std::optional<EnvelopeCostSpec> envelope;
+  EnvelopeCostSpec cost;
 };
 
 /// One path atom of the pairwise step rule's active sets: a candidate
@@ -170,8 +131,7 @@ struct FrankWolfeStats {
   /// sparse passes the support, pairwise sub-steps their touched
   /// edges.
   std::int64_t edges_repriced = 0;
-  /// Cost-function evaluations inside the golden-section line searches
-  /// (the classic profile's dominant term before the analytic spec).
+  /// Cost-function evaluations inside the golden-section line searches.
   std::int64_t line_search_evals = 0;
   double oracle_seconds = 0.0;
   double reprice_seconds = 0.0;

@@ -2,11 +2,10 @@
 //
 // Header-only templates: these run on the innermost hot path of the
 // Frank-Wolfe solver (hundreds of millions of objective evaluations
-// per cold solve), where a type-erased std::function callback costs
-// more than the arithmetic it wraps. Taking the callable as a template
-// parameter lets the per-edge cost (the analytic envelope fast path in
-// particular) inline into the search loop. The arithmetic is identical
-// to the former out-of-line definitions, so results are bit-equal.
+// per cold solve), where an indirect call would cost more than the
+// arithmetic it wraps. Taking the callable as a template parameter
+// lets the per-edge cost — the power model's envelope, EnvelopeCostSpec
+// — inline into the search loop.
 #pragma once
 
 #include <algorithm>

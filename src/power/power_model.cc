@@ -5,16 +5,19 @@
 namespace dcn {
 
 PowerModel::PowerModel(double sigma, double mu, double alpha, double capacity)
-    : sigma_(sigma), mu_(mu), alpha_(alpha), capacity_(capacity) {
+    : capacity_(capacity) {
   DCN_EXPECTS(sigma >= 0.0);
   DCN_EXPECTS(mu > 0.0);
   DCN_EXPECTS(alpha > 1.0);
   DCN_EXPECTS(capacity > 0.0);
-  const double ropt = r_opt();
-  r_hat_ = std::min(ropt, capacity_);
+  envelope_.sigma = sigma;
+  envelope_.mu = mu;
+  envelope_.alpha = alpha;
+  envelope_.r_hat = std::min(r_opt(), capacity_);
   // With sigma == 0 the envelope is f itself; represent that with a
   // degenerate (empty) linear part.
-  env_slope_ = r_hat_ > 0.0 ? f(r_hat_) / r_hat_ : 0.0;
+  const double r_hat = envelope_.r_hat;
+  envelope_.env_slope = r_hat > 0.0 ? f(r_hat) / r_hat : 0.0;
 }
 
 PowerModel PowerModel::pure_speed_scaling(double alpha) {
@@ -23,9 +26,8 @@ PowerModel PowerModel::pure_speed_scaling(double alpha) {
 
 namespace {
 
-/// x^alpha with a fast path for the paper's headline alpha = 2 (the
-/// Frank-Wolfe line search evaluates this tens of millions of times per
-/// relaxation; std::pow dominates the profile without it).
+/// x^alpha with the same alpha = 2 fast path as EnvelopeCostSpec::value,
+/// so f and the envelope agree bit for bit beyond r_hat.
 inline double pow_alpha(double x, double alpha) {
   if (alpha == 2.0) return x * x;
   return std::pow(x, alpha);
@@ -36,12 +38,12 @@ inline double pow_alpha(double x, double alpha) {
 double PowerModel::f(double x) const {
   DCN_EXPECTS(x >= 0.0);
   if (x == 0.0) return 0.0;
-  return sigma_ + mu_ * pow_alpha(x, alpha_);
+  return sigma() + mu() * pow_alpha(x, alpha());
 }
 
 double PowerModel::g(double x) const {
   DCN_EXPECTS(x >= 0.0);
-  return mu_ * pow_alpha(x, alpha_);
+  return mu() * pow_alpha(x, alpha());
 }
 
 double PowerModel::power_rate(double x) const {
@@ -50,23 +52,18 @@ double PowerModel::power_rate(double x) const {
 }
 
 double PowerModel::r_opt() const {
-  if (sigma_ == 0.0) return 0.0;
-  return std::pow(sigma_ / (mu_ * (alpha_ - 1.0)), 1.0 / alpha_);
+  if (sigma() == 0.0) return 0.0;
+  return std::pow(sigma() / (mu() * (alpha() - 1.0)), 1.0 / alpha());
 }
-
-double PowerModel::r_hat() const { return r_hat_; }
 
 double PowerModel::envelope(double x) const {
   DCN_EXPECTS(x >= 0.0);
-  if (x <= r_hat_) return env_slope_ * x;
-  return sigma_ + mu_ * pow_alpha(x, alpha_);
+  return envelope_.value(x);
 }
 
 double PowerModel::envelope_derivative(double x) const {
   DCN_EXPECTS(x >= 0.0);
-  if (x <= r_hat_) return env_slope_;
-  if (alpha_ == 2.0) return mu_ * alpha_ * x;
-  return mu_ * alpha_ * std::pow(x, alpha_ - 1.0);
+  return envelope_.derivative(x);
 }
 
 bool PowerModel::within_capacity(double x, double tol) const {
@@ -74,7 +71,7 @@ bool PowerModel::within_capacity(double x, double tol) const {
 }
 
 double PowerModel::inapproximability_bound() const {
-  return 1.5 * (1.0 + (std::pow(2.0 / 3.0, alpha_) - 1.0) / alpha_);
+  return 1.5 * (1.0 + (std::pow(2.0 / 3.0, alpha()) - 1.0) / alpha());
 }
 
 }  // namespace dcn

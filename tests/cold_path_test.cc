@@ -1,7 +1,7 @@
 // The v2 cold-solve hot path: oracle batching, the adaptive parallel
-// oracle, the cold-stall fix, and the analytic envelope fast path.
+// oracle, and the cold-stall fix.
 //
-// Four claims are pinned here (classic-vs-pairwise objective
+// Three claims are pinned here (classic-vs-pairwise objective
 // equivalence on the scenario grid lives in tests/pairwise_fw_test.cc):
 //
 //   1. Batching: grouping same-source commodities into one multi-target
@@ -17,10 +17,6 @@
 //      incast instance pairwise certifies gap <= 1e-6 within a pinned
 //      iteration budget where the classic rule, at the same budget,
 //      stalls orders of magnitude short.
-//   4. The analytic EnvelopeCostSpec reproduces the std::function
-//      envelope callbacks bit for bit — same iterations, same cost,
-//      same flows — for the kinked (sigma > 0), quadratic, cubic, and
-//      generic-alpha envelopes, under every step rule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,15 +38,11 @@ using engine::Instance;
 using engine::ScenarioOptions;
 using engine::ScenarioSuite;
 
-/// A multipath problem with shared sources on the k=4 fat-tree,
-/// costed by `model` through the generic std::function callbacks.
+/// A problem on `g` costed by `model`'s convex envelope.
 ConvexMcfProblem power_problem(const Graph& g, const PowerModel& model) {
   ConvexMcfProblem p;
   p.graph = &g;
-  p.cost = [&model](double x) { return model.envelope(x); };
-  p.cost_derivative = [&model](double x) {
-    return model.envelope_derivative(x);
-  };
+  p.cost = model.envelope_cost();
   return p;
 }
 
@@ -60,16 +52,6 @@ void add_fat_tree_commodities(ConvexMcfProblem& p, const Topology& topo) {
                              topo.hosts()[static_cast<std::size_t>(15 - i)],
                              0.5 + 0.3 * i});
   }
-}
-
-EnvelopeCostSpec spec_of(const PowerModel& model) {
-  EnvelopeCostSpec spec;
-  spec.sigma = model.sigma();
-  spec.mu = model.mu();
-  spec.alpha = model.alpha();
-  spec.r_hat = model.r_hat();
-  spec.env_slope = model.envelope_derivative(0.0);
-  return spec;
 }
 
 void expect_bitwise_equal(const ConvexMcfSolution& a, const ConvexMcfSolution& b,
@@ -172,39 +154,6 @@ TEST(ColdPath, PairwiseCertifiesTightGapWhereClassicStalls) {
   EXPECT_LE(certified.total_fw_iterations, 120);
   // Classic burns the whole budget and still certifies nothing close.
   EXPECT_GT(stalled.mean_relative_gap, 1e-5);
-}
-
-TEST(ColdPath, EnvelopeSpecMatchesCallbacksBitwise) {
-  const Topology topo = fat_tree(4);
-  // Kinked envelope (sigma > 0), quadratic, cubic (the repricing fast
-  // paths), and a generic non-integer alpha (the std::pow fallback).
-  const PowerModel models[] = {
-      PowerModel(1.0, 0.5, 2.0, 10.0),
-      PowerModel::pure_speed_scaling(2.0),
-      PowerModel(0.5, 1.0, 3.0, 8.0),
-      PowerModel::pure_speed_scaling(2.5),
-  };
-  for (const PowerModel& model : models) {
-    for (const FrankWolfeStepRule rule :
-         {FrankWolfeStepRule::kClassic, FrankWolfeStepRule::kPairwise}) {
-      ConvexMcfProblem generic = power_problem(topo.graph(), model);
-      add_fat_tree_commodities(generic, topo);
-      ConvexMcfProblem analytic = power_problem(topo.graph(), model);
-      add_fat_tree_commodities(analytic, topo);
-      analytic.envelope = spec_of(model);
-
-      FrankWolfeOptions opts;
-      opts.step_rule = rule;
-      opts.max_iterations = 120;
-      opts.gap_tolerance = 1e-6;
-      const auto a = solve_convex_mcf(generic, opts);
-      const auto b = solve_convex_mcf(analytic, opts);
-      const std::string tag = "alpha " + std::to_string(model.alpha()) +
-                              " rule " +
-                              std::to_string(static_cast<int>(rule));
-      expect_bitwise_equal(a, b, tag);
-    }
-  }
 }
 
 }  // namespace

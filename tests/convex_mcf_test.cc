@@ -10,11 +10,10 @@
 namespace dcn {
 namespace {
 
+/// Cost x^2: the default EnvelopeCostSpec.
 ConvexMcfProblem quadratic_problem(const Graph& g) {
   ConvexMcfProblem p;
   p.graph = &g;
-  p.cost = [](double x) { return x * x; };
-  p.cost_derivative = [](double x) { return 2.0 * x; };
   return p;
 }
 
@@ -115,8 +114,7 @@ TEST(ConvexMcf, EnvelopeCostConsolidatesWhenIdlePowerDominates) {
   const PowerModel model(/*sigma=*/100.0, /*mu=*/1.0, /*alpha=*/2.0);
   ConvexMcfProblem p;
   p.graph = &topo.graph();
-  p.cost = [&model](double x) { return model.envelope(x); };
-  p.cost_derivative = [&model](double x) { return model.envelope_derivative(x); };
+  p.cost = model.envelope_cost();
   p.commodities = {{0, 1, 0.5}, {0, 1, 0.5}};
   FrankWolfeOptions opts;
   opts.max_iterations = 300;
@@ -170,9 +168,6 @@ TEST(ConvexMcf, ContractsOnBadProblem) {
   p.commodities = {{0, 0, 1.0}};  // src == dst
   EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
   p.commodities = {{0, 1, -1.0}};  // negative demand
-  EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
-  p.commodities = {{0, 1, 1.0}};
-  p.cost = nullptr;
   EXPECT_THROW((void)solve_convex_mcf(p), ContractViolation);
 }
 

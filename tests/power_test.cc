@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "power/power_model.h"
 
@@ -78,6 +79,43 @@ TEST(PowerModel, EnvelopeConvexOnSamples) {
     for (double b = a; b <= 4.0; b += 0.25) {
       const double mid = 0.5 * (a + b);
       EXPECT_LE(m.envelope(mid), 0.5 * (m.envelope(a) + m.envelope(b)) + 1e-12);
+    }
+  }
+}
+
+TEST(PowerModel, EnvelopeCostSpecIsTheEnvelopePointwise) {
+  // The spec is the one envelope implementation: exact (bitwise)
+  // agreement with f beyond r_hat, with the textbook derivative
+  // mu * alpha * x^(alpha - 1) — which pins the alpha == 2 / alpha == 3
+  // pow-free shortcuts against std::pow — and the linear piece at or
+  // below r_hat. Kinked, quadratic, kinked cubic and generic alpha.
+  const PowerModel models[] = {
+      PowerModel(1.0, 0.5, 2.0, 10.0),
+      PowerModel::pure_speed_scaling(2.0),
+      PowerModel(0.5, 1.0, 3.0, 8.0),
+      PowerModel::pure_speed_scaling(2.5),
+  };
+  for (const PowerModel& m : models) {
+    const EnvelopeCostSpec& env = m.envelope_cost();
+    EXPECT_EQ(env.r_hat, m.r_hat());
+    if (env.r_hat > 0.0) {
+      EXPECT_EQ(env.env_slope, m.power_rate(env.r_hat));
+    }
+    for (int i = 0; i <= 48; ++i) {
+      const double x = 0.125 * i;
+      const std::string tag =
+          "alpha " + std::to_string(m.alpha()) + " x " + std::to_string(x);
+      EXPECT_EQ(m.envelope(x), env.value(x)) << tag;
+      EXPECT_EQ(m.envelope_derivative(x), env.derivative(x)) << tag;
+      if (x > env.r_hat) {
+        EXPECT_EQ(env.value(x), m.f(x)) << tag;
+        EXPECT_EQ(env.derivative(x),
+                  m.mu() * m.alpha() * std::pow(x, m.alpha() - 1.0))
+            << tag;
+      } else {
+        EXPECT_EQ(env.value(x), env.env_slope * x) << tag;
+        EXPECT_EQ(env.derivative(x), env.env_slope) << tag;
+      }
     }
   }
 }

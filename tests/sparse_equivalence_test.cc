@@ -66,7 +66,7 @@ double reference_total_cost(const ConvexMcfProblem& problem,
                             const std::vector<double>& x) {
   double cost = 0.0;
   for (double xe : x) {
-    if (xe > 1e-15) cost += problem.cost(xe);
+    if (xe > 1e-15) cost += problem.cost.value(xe);
   }
   return cost;
 }
@@ -93,7 +93,7 @@ DenseSolution reference_solve(const ConvexMcfProblem& problem,
     }
   } else {
     std::vector<double> w0(num_edges,
-                           std::max(problem.cost_derivative(0.0), problem.min_edge_weight));
+                           std::max(problem.cost.derivative(0.0), kMinEdgeWeight));
     const std::vector<Path> paths =
         reference_cheapest_paths(g, problem.commodities, w0);
     for (std::size_t c = 0; c < num_commodities; ++c) {
@@ -113,8 +113,8 @@ DenseSolution reference_solve(const ConvexMcfProblem& problem,
   for (std::int32_t iter = 0; iter < options.max_iterations; ++iter) {
     sol.iterations = iter + 1;
     for (std::size_t e = 0; e < num_edges; ++e) {
-      weights[e] = std::max(problem.cost_derivative(sol.total_flow[e]),
-                            problem.min_edge_weight);
+      weights[e] = std::max(problem.cost.derivative(sol.total_flow[e]),
+                            kMinEdgeWeight);
     }
     const std::vector<Path> target =
         reference_cheapest_paths(g, problem.commodities, weights);
@@ -140,7 +140,7 @@ DenseSolution reference_solve(const ConvexMcfProblem& problem,
           double c = 0.0;
           for (std::size_t e = 0; e < num_edges; ++e) {
             const double v = (1.0 - t) * x[e] + t * y[e];
-            if (v > 1e-15) c += problem.cost(v);
+            if (v > 1e-15) c += problem.cost.value(v);
           }
           return c;
         },
@@ -195,17 +195,14 @@ void expect_equivalent(const ConvexMcfSolution& sparse, const DenseSolution& den
 ConvexMcfProblem power_problem(const Graph& g, const PowerModel& model) {
   ConvexMcfProblem p;
   p.graph = &g;
-  p.cost = [&model](double x) { return model.envelope(x); };
-  p.cost_derivative = [&model](double x) { return model.envelope_derivative(x); };
+  p.cost = model.envelope_cost();
   return p;
 }
 
 TEST(SparseEquivalence, LineNetworkQuadratic) {
   const Topology topo = line_network(5);
   ConvexMcfProblem p;
-  p.graph = &topo.graph();
-  p.cost = [](double x) { return x * x; };
-  p.cost_derivative = [](double x) { return 2.0 * x; };
+  p.graph = &topo.graph();  // default cost: x^2
   p.commodities = {{0, 4, 3.0}, {1, 3, 1.5}, {0, 2, 0.25}, {2, 4, 2.0}};
   FrankWolfeOptions opts;
   opts.step_rule = FrankWolfeStepRule::kClassic;  // the dense reference's rule
@@ -258,9 +255,7 @@ TEST(SparseEquivalence, FatTreeQuartic) {
 TEST(SparseEquivalence, WarmStartMatchesDenseWarmStart) {
   const Topology topo = fat_tree(4);
   ConvexMcfProblem p;
-  p.graph = &topo.graph();
-  p.cost = [](double x) { return x * x; };
-  p.cost_derivative = [](double x) { return 2.0 * x; };
+  p.graph = &topo.graph();  // default cost: x^2
   for (int i = 0; i < 5; ++i) {
     p.commodities.push_back({topo.hosts()[static_cast<std::size_t>(i)],
                              topo.hosts()[static_cast<std::size_t>(10 + i)], 2.0});
@@ -284,7 +279,7 @@ TEST(SparseEquivalence, WarmStartMatchesDenseWarmStart) {
   // Seed semantics: a new commodity's warm row is its cheapest path
   // under empty-network weights.
   const std::vector<double> w0(static_cast<std::size_t>(topo.graph().num_edges()),
-                               std::max(p.cost_derivative(0.0), p.min_edge_weight));
+                               std::max(p.cost.derivative(0.0), kMinEdgeWeight));
   const auto sp = dijkstra_shortest_path(topo.graph(), topo.hosts()[7],
                                          topo.hosts()[2], w0);
   ASSERT_TRUE(sp.has_value());
@@ -304,9 +299,7 @@ TEST(SparseEquivalence, WorkspaceReuseAcrossSolvesIsTransparent) {
   // give the same answers as fresh solves.
   const Topology topo = fat_tree(4);
   ConvexMcfProblem p;
-  p.graph = &topo.graph();
-  p.cost = [](double x) { return x * x; };
-  p.cost_derivative = [](double x) { return 2.0 * x; };
+  p.graph = &topo.graph();  // default cost: x^2
   FrankWolfeOptions opts;
   opts.max_iterations = 80;
   opts.gap_tolerance = 1e-6;
@@ -364,9 +357,7 @@ TEST(SparseEquivalence, ParallelOracleIsByteIdenticalToSequential) {
 TEST(SparseEquivalence, CommodityRowsAreCanonical) {
   const Topology topo = fat_tree(4);
   ConvexMcfProblem p;
-  p.graph = &topo.graph();
-  p.cost = [](double x) { return x * x; };
-  p.cost_derivative = [](double x) { return 2.0 * x; };
+  p.graph = &topo.graph();  // default cost: x^2
   p.commodities = {{topo.hosts()[0], topo.hosts()[9], 3.0},
                    {topo.hosts()[2], topo.hosts()[12], 1.5}};
   const auto sol = solve_convex_mcf(p);

@@ -54,7 +54,6 @@
 //
 // Exit status: 0 when every cell produced a replay-validated schedule
 // (batch mode) / the stream drained (serve mode).
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -62,18 +61,15 @@
 #include <vector>
 
 #include "engine/batch_runner.h"
+#include "common/stats.h"
 #include "engine/cli.h"
 #include "online/event_stream.h"
 #include "online/sharded.h"
 
 namespace {
 
-double latency_percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const std::size_t idx =
-      static_cast<std::size_t>(p * static_cast<double>(xs.size() - 1) + 0.5);
-  return xs[idx];
+double latency_percentile(const std::vector<double>& xs, double p) {
+  return xs.empty() ? 0.0 : dcn::percentile(xs, p);
 }
 
 int run_serve(const dcn::cli::Args& args,
