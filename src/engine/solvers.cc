@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "common/contracts.h"
@@ -58,6 +60,30 @@ SolverOutcome finish_online_outcome(const std::string& solver,
          percentile(result.decision_latency_ms, 0.99)}};
   }
   return out;
+}
+
+/// The event loop's relaxation-rule diagnostics, in canonical key order
+/// (shared by online_dcfsr and online_dcfsr_sharded, whose canonical
+/// lines must stay drop-in comparable).
+std::vector<std::pair<std::string, double>> event_loop_stats(
+    const OnlineResult& r) {
+  return {
+      {"resolves", static_cast<double>(r.resolves)},
+      {"fw_iterations", static_cast<double>(r.fw_iterations)},
+      {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
+      {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
+      {"departure_gap_checks", static_cast<double>(r.departure_gap_checks)},
+      {"gap_check_iterations", static_cast<double>(r.gap_check_iterations)},
+      {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
+      {"first_lb", r.first_lower_bound},
+      {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
+      {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
+      {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
+      // Re-rate diagnostics (all zero unless allow_rerate):
+      // deterministic, the pass consumes no rng.
+      {"rerate_attempts", static_cast<double>(r.rerate_attempts)},
+      {"rerate_commits", static_cast<double>(r.rerate_commits)},
+      {"rerated_flows", static_cast<double>(r.rerated_flows)}};
 }
 
 }  // namespace
@@ -233,23 +259,7 @@ SolverOutcome OnlineDcfsrSolver::solve(const Instance& instance) const {
   Rng rng = solver_rng(instance, "dcfsr");
   OnlineResult r = online_dcfsr(instance.graph(), instance.flows(),
                                 instance.model(), rng, options_);
-  const std::vector<std::pair<std::string, double>> extra = {
-      {"resolves", static_cast<double>(r.resolves)},
-      {"fw_iterations", static_cast<double>(r.fw_iterations)},
-      {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
-      {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
-      {"departure_gap_checks", static_cast<double>(r.departure_gap_checks)},
-      {"gap_check_iterations", static_cast<double>(r.gap_check_iterations)},
-      {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
-      {"first_lb", r.first_lower_bound},
-      {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
-      {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
-      {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
-      // Re-rate diagnostics (all zero unless allow_rerate):
-      // deterministic, the pass consumes no rng.
-      {"rerate_attempts", static_cast<double>(r.rerate_attempts)},
-      {"rerate_commits", static_cast<double>(r.rerate_commits)},
-      {"rerated_flows", static_cast<double>(r.rerated_flows)}};
+  const auto extra = event_loop_stats(r);
   SolverOutcome out = finish_online_outcome(name(), instance, std::move(r));
   out.stats.insert(out.stats.end(), extra.begin(), extra.end());
   return out;
@@ -275,25 +285,11 @@ SolverOutcome OnlineShardedSolver::solve(const Instance& instance) const {
   OnlineResult r =
       online_dcfsr_sharded(instance.graph(), instance.flows(),
                            instance.model(), rng, options_, plan, workers_);
-  const std::vector<std::pair<std::string, double>> extra = {
-      {"resolves", static_cast<double>(r.resolves)},
-      {"fw_iterations", static_cast<double>(r.fw_iterations)},
-      {"rounding_attempts", static_cast<double>(r.rounding_attempts)},
-      {"batch_fallbacks", static_cast<double>(r.batch_fallbacks)},
-      {"departure_gap_checks", static_cast<double>(r.departure_gap_checks)},
-      {"gap_check_iterations", static_cast<double>(r.gap_check_iterations)},
-      {"peak_in_flight", static_cast<double>(r.peak_in_flight)},
-      {"first_lb", r.first_lower_bound},
-      {"fw_sweeps", static_cast<double>(r.fw_stats.oracle_sweeps)},
-      {"fw_edges_repriced", static_cast<double>(r.fw_stats.edges_repriced)},
-      {"fw_ls_evals", static_cast<double>(r.fw_stats.line_search_evals)},
-      {"rerate_attempts", static_cast<double>(r.rerate_attempts)},
-      {"rerate_commits", static_cast<double>(r.rerate_commits)},
-      {"rerated_flows", static_cast<double>(r.rerated_flows)},
-      // The decomposition (groups) is topology-fixed; lanes are the
-      // concurrency cap actually in effect. Both deterministic.
-      {"shard_groups", static_cast<double>(plan.num_groups())},
-      {"shard_lanes", static_cast<double>(plan.num_lanes())}};
+  auto extra = event_loop_stats(r);
+  // The decomposition (groups) is topology-fixed; lanes are the
+  // concurrency cap actually in effect. Both deterministic.
+  extra.emplace_back("shard_groups", static_cast<double>(plan.num_groups()));
+  extra.emplace_back("shard_lanes", static_cast<double>(plan.num_lanes()));
   SolverOutcome out = finish_online_outcome(name(), instance, std::move(r));
   out.stats.insert(out.stats.end(), extra.begin(), extra.end());
   return out;

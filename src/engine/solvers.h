@@ -21,7 +21,8 @@
 //              control + warm-started incremental re-solve of the
 //              interval relaxation (src/online)
 //   online_greedy  per-arrival marginal-energy routing + density-rate
-//              admission with EDF fallback (src/online)
+//              admission with EDF fallback: the greedy placement rule
+//              of the same event loop (src/online)
 //   oracle_dcfsr   hindsight admission baseline: offline dcfsr over the
 //              whole trace with admission control — the denominator of
 //              bench_online's empirical competitive ratios (src/online)

@@ -3,10 +3,11 @@
 // The admission primitives the online policies share — reachability
 // screening, the fallback orders, the capacity probes and commits
 // against the committed-load EdgeLoadIndex — with one definition for
-// sharded.cc (the event loop behind online_dcfsr and the sharded
-// service), oracle_dcfsr.cc, online_greedy.cc, edf_fill.cc and
-// rerate.h. This header is internal to src/online; the public surface
-// stays online_scheduler.h.
+// the event loop behind every online policy (sharded.cc, its entry
+// points in sharded_service.cc and its greedy rule in
+// online_greedy.cc), oracle_dcfsr.cc, edf_fill.cc and rerate.h. This
+// header is internal to src/online; the public surface stays
+// online_scheduler.h.
 #pragma once
 
 #include <algorithm>

@@ -1,117 +1,57 @@
-// The greedy online baseline (see online_scheduler.h): marginal-energy
-// routing, density-rate admission with EDF fallback. No re-solves, no
-// rng.
+// The greedy online baseline (see online_scheduler.h): a placement rule
+// of the one event loop (sharded.h) — marginal-energy routing,
+// density-rate admission with EDF fallback. No re-solves, no rng.
 #include <algorithm>
-#include <chrono>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "graph/shortest_path.h"
-#include "online/admission_core.h"
-#include "online/load_index.h"
-#include "online/online_scheduler.h"
+#include "online/sharded.h"
 
 namespace dcn {
 
-using online_impl::arrival_order;
 using online_impl::commit;
 using online_impl::rate_fits;
+
+bool ShardedScheduler::place_greedy(std::size_t slot) {
+  // The greedy baseline's routing rule against the committed load. The
+  // weight loop probes *every* edge per arrival, so each weight reads
+  // only the span window of the pruned index, not the edge's history.
+  const Flow& fl = flows_[slot];
+  const double d = fl.density();
+  edge_weights_.resize(static_cast<std::size_t>(g_.num_edges()));
+  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+    edge_weights_[static_cast<std::size_t>(e)] =
+        std::max(load_.marginal_energy(e, fl.span(), d, model_), 1e-12);
+  }
+  auto path = dijkstra_shortest_path(g_, fl.src, fl.dst, edge_weights_);
+  if (!path.has_value()) return false;
+
+  if (rate_fits(load_, *path, fl.span(), d, capacity_)) {
+    commit(out_, load_, slot, std::move(*path), {{fl.span(), d}});
+    return true;
+  }
+  // EDF fallback: earliest remaining capacity on the same path.
+  std::vector<RateSegment> segments =
+      edf_fill(load_, *path, fl.span(), fl.volume, capacity_);
+  if (segments.empty()) return false;
+  ++out_.edf_fallbacks;
+  commit(out_, load_, slot, std::move(*path), std::move(segments));
+  return true;
+}
 
 OnlineResult online_greedy(const Graph& g, const std::vector<Flow>& flows,
                            const PowerModel& model,
                            const OnlineOptions& options) {
-  validate_flows(g, flows);
-  OnlineResult out;
-  out.schedule.flows.resize(flows.size());
-  out.admitted.assign(flows.size(), false);
-  if (flows.empty()) return out;
-
-  const std::vector<std::size_t> order = arrival_order(flows);
-  const double capacity = model.capacity();
-
-  EdgeLoadIndex load(g.num_edges(), options.audit_load_index);
-  std::vector<double> weights(static_cast<std::size_t>(g.num_edges()), 0.0);
-
-  // Admitted flows in flight, deadline-ordered, with their releases in
-  // a parallel multiset: completions pop at each arrival and the index
-  // prunes to min(earliest live release, arrival time) — the same
-  // pruning invariant as online_dcfsr's event loop. This is where the
-  // index pays off most: the greedy weight loop probes *every* edge per
-  // arrival, so the naive full-history marginal_energy scan made the
-  // whole policy superlinear in trace length.
-  std::multiset<std::pair<double, double>> active;  // (deadline, release)
-  std::multiset<double> live_releases;
-
-  double last_release = flows[order.front()].release - 1.0;
-  for (const std::size_t i : order) {
-    const Flow& fl = flows[i];
-    // dcn-lint: allow(wall-clock) timing capture: decision latency, reaches SolverOutcome::timings only (never canonical)
-    const auto event_start = std::chrono::steady_clock::now();
-    auto record_latency = [&] {
-      out.decision_latency_ms.push_back(
-          // dcn-lint: allow(wall-clock) timing capture: closes the decision-latency window opened at event_start
-          std::chrono::duration<double, std::milli>(
-              // dcn-lint: allow(wall-clock) timing capture: same latency read (continuation)
-              std::chrono::steady_clock::now() - event_start)
-              .count());
-    };
-    if (fl.release != last_release) {
-      ++out.num_events;
-      last_release = fl.release;
-    }
-    while (!active.empty() && active.begin()->first <= fl.release) {
-      live_releases.erase(live_releases.find(active.begin()->second));
-      active.erase(active.begin());
-    }
-    load.advance_low_water(live_releases.empty()
-                               ? fl.release
-                               : std::min(fl.release, *live_releases.begin()));
-    const double d = fl.density();
-
-    // The greedy baseline's routing rule against the committed load,
-    // each edge weight read from the span window of the index instead
-    // of the edge's full history.
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      weights[static_cast<std::size_t>(e)] =
-          std::max(load.marginal_energy(e, fl.span(), d, model), 1e-12);
-    }
-    auto path = dijkstra_shortest_path(g, fl.src, fl.dst, weights);
-    if (!path.has_value()) {
-      // No route at all (disconnected endpoints): a rejection like any
-      // other unplaceable flow — online inputs are not pre-screened for
-      // connectivity, so this must not abort the run.
-      ++out.num_rejected;
-      record_latency();
-      continue;
-    }
-    auto admit = [&] {
-      active.emplace(fl.deadline, fl.release);
-      live_releases.insert(fl.release);
-    };
-
-    if (rate_fits(load, *path, fl.span(), d, capacity)) {
-      commit(out, load, i, std::move(*path), {{fl.span(), d}});
-      admit();
-      record_latency();
-      continue;
-    }
-
-    // EDF fallback: earliest remaining capacity on the same path.
-    std::vector<RateSegment> segments =
-        edf_fill(load, *path, fl.span(), fl.volume, capacity);
-    if (!segments.empty()) {
-      ++out.edf_fallbacks;
-      commit(out, load, i, std::move(*path), std::move(segments));
-      admit();
-    } else {
-      ++out.num_rejected;
-    }
-    record_latency();
-  }
-  out.peak_live_segments = load.peak_live_segments();
-  out.load_segments_pruned = load.segments_pruned();
-  return out;
+  // One event per distinct release: the rule has no re-solve to batch,
+  // window or re-rate, so only the audit switch carries over.
+  OnlineOptions greedy;
+  greedy.audit_load_index = options.audit_load_index;
+  const ShardPlan plan = ShardPlan::single_group(g);
+  ShardedScheduler sched(g, model, greedy, plan, /*stream_seed=*/0,
+                         /*workers=*/1, /*discard_completed=*/false,
+                         Placement::kGreedy);
+  return sched.run_trace(flows, /*epoch=*/0.0);
 }
 
 }  // namespace dcn

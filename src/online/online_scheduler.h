@@ -36,10 +36,10 @@
 //     volume by its deadline within capacity, or the whole pass rolls
 //     back bitwise and the arrival is rejected (cf. PDQ's deadline-
 //     aware preemptive re-rating).
-//   * One event loop runs it: ShardedScheduler (sharded.h).
-//     online_dcfsr is that loop on a single-group plan drawing from the
-//     caller's rng; online_dcfsr_sharded and the always-on service run
-//     it on a per-source-pod plan.
+//   * One event loop runs every online policy: ShardedScheduler
+//     (sharded.h). online_dcfsr and online_greedy (its greedy placement
+//     rule) run it on a single-group plan; online_dcfsr_sharded and the
+//     always-on service on a per-source-pod plan.
 //   * The event loop is indexed: admitted in-flight flows live in a
 //     deadline-ordered active set, so each event touches O(active +
 //     log n) state — completions pop off the front, the residual
@@ -104,11 +104,11 @@
 
 namespace dcn {
 
-/// Knobs of the online schedulers. The dcfsr event loop
+/// Knobs of the online schedulers. The event loop's relaxation rule
 /// (ShardedScheduler: online_dcfsr, its flat/preempt/sharded variants
 /// and the stream service) reads every field; oracle_dcfsr reads
-/// `rounding` and `audit_load_index`; online_greedy reads only
-/// `audit_load_index`.
+/// `rounding` and `audit_load_index`; online_greedy, the loop's greedy
+/// rule, reads only `audit_load_index`.
 struct OnlineOptions {
   /// Relaxation + rounding knobs of the per-event re-solve, warm
   /// re-solves and departure gap checks included. The rounding attempt
@@ -171,10 +171,10 @@ struct OnlineResult {
 
   std::int32_t num_admitted = 0;
   std::int32_t num_rejected = 0;
-  /// Distinct arrival times processed.
+  /// Global events processed (distinct releases, or epoch batches).
   std::int32_t num_events = 0;
 
-  // online_dcfsr diagnostics.
+  // Relaxation diagnostics (zero for online_greedy: no re-solves).
   std::int32_t resolves = 0;            // full relaxation re-solves
   std::int64_t fw_iterations = 0;       // total Frank-Wolfe iterations
   std::int32_t rounding_attempts = 0;   // total rounding draws
@@ -251,10 +251,10 @@ struct OnlineResult {
                                         const PowerModel& model, Rng& rng,
                                         const OnlineOptions& options = {});
 
-/// Runs the greedy online loop: marginal-energy routing, density-rate
-/// admission with EDF fallback. Deterministic (no rng). Only
-/// audit_load_index is read from `options` (the greedy loop has no
-/// re-solves to window or batch).
+/// Runs the event loop's greedy rule: marginal-energy routing,
+/// density-rate admission with EDF fallback, one event per distinct
+/// release. Deterministic (no rng). Only audit_load_index is read from
+/// `options` (there are no re-solves to window, batch or re-rate).
 [[nodiscard]] OnlineResult online_greedy(const Graph& g,
                                          const std::vector<Flow>& flows,
                                          const PowerModel& model,

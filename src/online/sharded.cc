@@ -1,8 +1,9 @@
 // The online event loop (see sharded.h for its shape and
 // sharded_service.cc for the online_dcfsr / batch / stream entry
-// points). Phase A is the per-event body — completions, gap check,
-// residual build, warm re-solve, joint rounding draw — run per source
-// group over the group's own state; phase B is the core-link
+// points; online_greedy.cc holds the greedy placement rule and its
+// entry point). Phase A is the per-event body — completions, gap
+// check, residual build, warm re-solve, joint rounding draw — run per
+// source group over the group's own state; phase B is the core-link
 // coordinator: serial, ascending group id, committing against the one
 // load index.
 #include "online/sharded.h"
@@ -59,7 +60,7 @@ struct ShardedScheduler::GroupState {
 /// to per-group slots so concurrent groups never alias.
 struct ShardedScheduler::Proposal {
   std::vector<Flow> residual;
-  std::vector<std::size_t> orig;  // residual row -> slot
+  std::vector<std::size_t> orig;  // residual row -> slot (greedy: arrivals)
   std::size_t first_new = 0;
   FractionalRelaxation relax;
   RandomScheduleResult draw;
@@ -79,11 +80,13 @@ ShardedScheduler::ShardedScheduler(const Graph& g, const PowerModel& model,
                                    const ShardPlan& plan,
                                    std::uint64_t stream_seed,
                                    std::int32_t workers,
-                                   bool discard_completed)
+                                   bool discard_completed,
+                                   Placement placement)
     : g_(g),
       model_(model),
       options_(options),
       plan_(plan),
+      placement_(placement),
       capacity_(model.capacity()),
       discard_completed_(discard_completed),
       verify_draws_(plan.num_groups() > 1 || options.allow_rerate),
@@ -165,6 +168,19 @@ void ShardedScheduler::phase_a(GroupState& gs,
       // flag and aggregate counters keep the outcome.
       out_.schedule.flows[done] = FlowSchedule{};
     }
+  }
+
+  if (placement_ == Placement::kGreedy) {
+    // Nothing to re-solve: hand phase B the routable arrivals in batch
+    // (release, id) order.
+    for (const std::size_t slot : batch_slots) {
+      if (gs.reach.routable(flows_[slot].src, flows_[slot].dst)) {
+        p.orig.push_back(slot);
+      } else {
+        ++p.rejected_unroutable;
+      }
+    }
+    return;
   }
 
   // Departures-only fast path. The completions changed the group's
@@ -331,6 +347,22 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
   out_.departure_gap_checks += p.gap_checks;
   out_.gap_check_iterations += p.gap_iterations;
   out_.fw_stats += p.fw_stats;
+
+  auto admit_into_index = [&](std::size_t i) {
+    gs.active.emplace(flows_[i].deadline, i);
+    gs.live_releases.insert(flows_[i].release);
+  };
+  if (placement_ == Placement::kGreedy) {
+    for (const std::size_t i : p.orig) {
+      if (place_greedy(i)) {
+        admit_into_index(i);
+      } else {
+        ++out_.num_rejected;
+      }
+    }
+    return;
+  }
+
   if (!p.solved) return;
   ++out_.resolves;
   out_.fw_iterations += p.fw_iterations;
@@ -338,11 +370,6 @@ void ShardedScheduler::phase_b(GroupState& gs, double now, Proposal& p) {
     out_.first_lower_bound = p.lower_bound;
     first_lb_set_ = true;
   }
-
-  auto admit_into_index = [&](std::size_t i) {
-    gs.active.emplace(flows_[i].deadline, i);
-    gs.live_releases.insert(flows_[i].release);
-  };
   auto release_rejected = [&](std::size_t i) { release_warm(i); };
 
   // Per-flow fallback against the committed load: fresh draws from the

@@ -1,9 +1,9 @@
 // The online event loop: stream -> shard -> coordinator.
 //
-// ShardedScheduler is the one event loop of online_dcfsr and of the
-// always-on service. It absorbs epoch batches of arrivals (from a trace
-// or an EventStream pulled on demand) and runs each global event in two
-// phases:
+// ShardedScheduler is the one event loop of every online policy:
+// online_dcfsr, online_greedy and the always-on service. It absorbs
+// epoch batches of arrivals (from a trace or an EventStream pulled on
+// demand) and runs each global event in two phases:
 //
 //   Phase A (parallel over affected source groups): each group — a
 //   long-lived shard worker owning its warm rows, path atoms, active
@@ -26,6 +26,10 @@
 //   fallback (fresh draws from the group's stream, then — with
 //   allow_rerate — the deadline-safe re-rate transaction over the
 //   group's own in-flight flows).
+//
+// That is the relaxation placement rule. The greedy rule (online_greedy)
+// skips the re-solve: phase B routes each routable arrival on its
+// least-marginal-energy path against the index, at density or EDF-filled.
 //
 // The decomposition (which flows solve together) is fixed by the
 // topology via ShardPlan, so results are byte-identical for any shard
@@ -51,6 +55,12 @@
 
 namespace dcn {
 
+/// How phase B places an event's arrivals (see the file comment).
+enum class Placement {
+  kRelaxation,  // warm re-solve + randomized rounding (online_dcfsr)
+  kGreedy,      // marginal-energy routing + EDF fill (online_greedy)
+};
+
 /// The long-lived admission engine. Feed arrivals in event
 /// order via process_batch (each batch = one global event: the epoch
 /// window starting at the batch's first release); read the aggregate
@@ -64,11 +74,12 @@ class ShardedScheduler {
   /// `discard_completed` drops completed flows' committed segments and
   /// paths (service mode: keeps resident state proportional to flows
   /// in flight; the aggregate counters stay exact, the returned
-  /// schedule keeps only in-flight rows).
+  /// schedule keeps only in-flight rows). `placement` picks the rule.
   ShardedScheduler(const Graph& g, const PowerModel& model,
                    const OnlineOptions& options, const ShardPlan& plan,
                    std::uint64_t stream_seed, std::int32_t workers,
-                   bool discard_completed);
+                   bool discard_completed,
+                   Placement placement = Placement::kRelaxation);
   /// The plain event loop: a single-group `plan` (ShardPlan::
   /// single_group) whose rounding draws come straight from the caller's
   /// `rng`, serial, completed rows kept. `rng` must outlive the
@@ -85,6 +96,12 @@ class ShardedScheduler {
 
   /// Finalizes index-health counters and moves the result out.
   [[nodiscard]] OnlineResult take_result();
+
+  /// Validates `flows`, feeds them in epoch batches (decision point =
+  /// the batch's first release) and returns take_result() re-indexed
+  /// like `flows` (latencies stay in decision order).
+  [[nodiscard]] OnlineResult run_trace(const std::vector<Flow>& flows,
+                                       double epoch);
 
   /// Live introspection for the stream service's periodic flushes.
   [[nodiscard]] const OnlineResult& result() const { return out_; }
@@ -104,6 +121,7 @@ class ShardedScheduler {
   void phase_a(GroupState& gs, const std::vector<std::size_t>& batch_slots,
                double now, Proposal& p);
   void phase_b(GroupState& gs, double now, Proposal& p);
+  [[nodiscard]] bool place_greedy(std::size_t slot);
   void release_warm(std::size_t slot);
   void audit_warm_state() const;
 
@@ -111,6 +129,7 @@ class ShardedScheduler {
   const PowerModel& model_;
   const OnlineOptions options_;
   const ShardPlan& plan_;
+  const Placement placement_;
   const double capacity_;
   const bool discard_completed_;
   // Phase B verifies a feasible joint draw against the index before
@@ -136,6 +155,7 @@ class ShardedScheduler {
   // Per-batch scratch, reused across events.
   std::vector<std::vector<std::size_t>> batch_slots_;
   std::vector<std::int32_t> affected_;
+  std::vector<double> edge_weights_;  // place_greedy's Dijkstra weights
 };
 
 /// Batch-API entry point, registered as `online_dcfsr_sharded`: runs

@@ -3,8 +3,9 @@
 // (online_dcfsr_sharded — drop-in comparable with online_dcfsr) and the
 // sustained-stream runner (run_online_stream — pulls from an
 // EventStream, flushes periodic service stats, never materializes the
-// trace). All three drive ShardedScheduler::process_batch; the engine
-// itself lives in sharded.cc.
+// trace). All three — and online_greedy (online_greedy.cc) — drive
+// ShardedScheduler::process_batch; the engine itself lives in
+// sharded.cc.
 #include <optional>
 #include <utility>
 
@@ -40,15 +41,9 @@ std::int64_t peak_rss_kb() {
 #endif
 }
 
-namespace {
-
-/// Feeds a materialized trace to `sched` in epoch batches — one global
-/// event per batch, decision point at the batch's first release — and
-/// returns the result indexed like the input. The engine's rows are in
-/// feed (arrival) order and go back to the caller's indices; latencies
-/// stay in decision order.
-OnlineResult run_trace(ShardedScheduler& sched, const std::vector<Flow>& flows,
-                       double epoch) {
+OnlineResult ShardedScheduler::run_trace(const std::vector<Flow>& flows,
+                                         double epoch) {
+  validate_flows(g_, flows);
   const std::vector<std::size_t> order = online_impl::arrival_order(flows);
   std::vector<Flow> batch;
   for (std::size_t lo = 0; lo < order.size();) {
@@ -59,11 +54,11 @@ OnlineResult run_trace(ShardedScheduler& sched, const std::vector<Flow>& flows,
       batch.push_back(flows[order[hi]]);
       ++hi;
     }
-    sched.process_batch(now, batch);
+    process_batch(now, batch);
     lo = hi;
   }
 
-  OnlineResult out = sched.take_result();
+  OnlineResult out = take_result();
   std::vector<FlowSchedule> rows(flows.size());
   std::vector<bool> admitted(flows.size(), false);
   for (std::size_t k = 0; k < order.size(); ++k) {
@@ -75,16 +70,12 @@ OnlineResult run_trace(ShardedScheduler& sched, const std::vector<Flow>& flows,
   return out;
 }
 
-}  // namespace
-
 OnlineResult online_dcfsr(const Graph& g, const std::vector<Flow>& flows,
                           const PowerModel& model, Rng& rng,
                           const OnlineOptions& options) {
-  validate_flows(g, flows);
-  if (flows.empty()) return {};
   const ShardPlan plan = ShardPlan::single_group(g);
   ShardedScheduler sched(g, model, options, plan, rng);
-  return run_trace(sched, flows, options.epoch);
+  return sched.run_trace(flows, options.epoch);
 }
 
 OnlineResult online_dcfsr_sharded(const Graph& g,
@@ -99,14 +90,13 @@ OnlineResult online_dcfsr_sharded(const Graph& g,
   if (plan.num_lanes() <= 1 || plan.num_groups() <= 1) {
     return online_dcfsr(g, flows, model, rng, options);
   }
-  validate_flows(g, flows);
   if (flows.empty()) return {};
   // One draw from the caller's stream seeds every per-shard stream (a
   // deterministic mix per group) — the caller's rng advances by exactly
   // one draw regardless of shard, worker, or group count.
   ShardedScheduler sched(g, model, options, plan, rng(), workers,
                          /*discard_completed=*/false);
-  return run_trace(sched, flows, options.epoch);
+  return sched.run_trace(flows, options.epoch);
 }
 
 OnlineResult run_online_stream(

@@ -9,10 +9,17 @@
 // schedule of an online run on a Poisson fat-tree k=4 scenario is
 // pushed through the packet-level simulator and every admitted flow
 // must meet its deadline within the store-and-forward envelope.
+//
+// The greedy rule has its own anchor: with no capacity to bind, the
+// online_greedy placement rule of the event loop is the offline greedy
+// baseline (greedy_energy_aware, the plain StepFunction reference)
+// arrival for arrival.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
+#include "baselines/baselines.h"
 #include "engine/instance.h"
 #include "engine/registry.h"
 #include "engine/scenario.h"
@@ -435,6 +442,57 @@ TEST_F(OnlineDifferentialTest, AdmittedFlowsMeetDeadlinesInPacketReplay) {
     EXPECT_TRUE(packets.all_deadlines_met) << solver;
     EXPECT_EQ(packets.packets_starved, 0) << solver;
   }
+}
+
+TEST_F(OnlineDifferentialTest, OnlineGreedyMatchesOfflineGreedyAtInfiniteCapacity) {
+  // At infinite capacity every density fits, so the event loop's greedy
+  // rule admits every arrival at its density on the minimum
+  // marginal-energy path against the committed load — exactly what the
+  // offline baseline computes over plain StepFunctions in the same
+  // (release, id) order. Rows must agree bitwise, not to tolerance.
+  for (const char* spec :
+       {"fat_tree/paper", "leaf_spine/incast", "fat_tree/poisson",
+        "bcube/paper", "leaf_spine/hadoop", "fat_tree/websearch"}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const Instance instance = suite_.build(spec, seed);
+      const Schedule offline = greedy_energy_aware(
+          instance.graph(), instance.flows(), instance.model());
+      const OnlineResult online = online_greedy(
+          instance.graph(), instance.flows(), instance.model());
+      const std::size_t n = instance.flows().size();
+      EXPECT_EQ(online.num_admitted, static_cast<std::int32_t>(n))
+          << spec << " seed " << seed;
+      EXPECT_EQ(online.edf_fallbacks, 0) << spec << " seed " << seed;
+      ASSERT_EQ(online.schedule.flows.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(online.schedule.flows[i].path.edges,
+                  offline.flows[i].path.edges)
+            << spec << " seed " << seed << " flow " << i;
+        EXPECT_EQ(online.schedule.flows[i].segments, offline.flows[i].segments)
+            << spec << " seed " << seed << " flow " << i;
+      }
+    }
+  }
+}
+
+TEST_F(OnlineDifferentialTest, OnlineGreedyEdfFallbackAdmitsReplayableFlows) {
+  // At capacity 3 the Poisson fat-tree trace has arrivals whose density
+  // no longer fits on their path: the EDF fill must admit some of them,
+  // and every admitted profile (flat or EDF-filled) must replay within
+  // capacity and deadline.
+  ScenarioOptions options;
+  options.capacity = 3.0;
+  const Instance instance = suite_.build("fat_tree/poisson", 1, options);
+  const OnlineResult r =
+      online_greedy(instance.graph(), instance.flows(), instance.model());
+  EXPECT_GT(r.edf_fallbacks, 0);
+  EXPECT_GT(r.num_rejected, 0);
+  const auto [sub_flows, sub_schedule] =
+      admitted_subset(instance.flows(), r.schedule, r.admitted);
+  ASSERT_EQ(sub_flows.size(), static_cast<std::size_t>(r.num_admitted));
+  const ReplayReport replay = replay_schedule(instance.graph(), sub_flows,
+                                              sub_schedule, instance.model());
+  EXPECT_TRUE(replay.ok) << (replay.issues.empty() ? "" : replay.issues[0]);
 }
 
 }  // namespace

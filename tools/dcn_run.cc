@@ -53,9 +53,11 @@
 //   --audit            load-index audit shadow + warm-state sweeps (slow)
 //
 // Exit status: 0 when every cell produced a replay-validated schedule
-// (batch mode) / the stream drained (serve mode).
+// (batch mode) / the stream drained (serve mode); 2 on a usage error
+// (serve mode: a bad flag value or an out-of-contract knob).
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,9 +121,17 @@ int run_serve(const dcn::cli::Args& args,
   online.rounding.relaxation.frank_wolfe.gap_tolerance = 1e-3;
   online.lookahead_window = args.get_double("window", 2.0);
   online.epoch = args.get_double("epoch", 0.5);
+  if (!(online.epoch >= 0.0) || !(online.lookahead_window >= 0.0)) {
+    std::fprintf(stderr,
+                 "dcn_run --serve: --epoch and --window must be >= 0\n");
+    return 2;
+  }
   online.allow_rerate = args.has_flag("rerate");
   online.audit_load_index = args.has_flag("audit");
 
+  // Built before the header line, so an out-of-contract power knob
+  // fails before anything reads like a started run.
+  const PowerModel model = options.power_model();
   auto [topology, stream_rng] = suite.build_topology(spec, seed);
   PoissonEventStream stream(topology,
                             online_workload_params(options, size_model),
@@ -144,7 +154,6 @@ int run_serve(const dcn::cli::Args& args,
   // serve run consumes the identical rng online_dcfsr_sharded would on
   // the materialized "<spec>#<seed>" instance.
   Rng rng(mix_seed(seed, spec + "#" + std::to_string(seed) + "|dcfsr"));
-  const PowerModel model = options.power_model();
 
   auto on_flush = [](const StreamFlushStats& s) {
     std::printf(
@@ -193,7 +202,17 @@ int main(int argc, char** argv) {
   const SolverRegistry& registry = default_registry();
   const ScenarioSuite& suite = ScenarioSuite::default_suite();
 
-  if (args.has_flag("serve")) return run_serve(args, suite);
+  if (args.has_flag("serve")) {
+    // Out-of-contract knobs (--capacity 0, --rate 0, ...) surface as
+    // ContractViolation from the model or workload builders: a usage
+    // error like a bad flag, not an abort.
+    try {
+      return run_serve(args, suite);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "dcn_run --serve: %s\n", e.what());
+      return 2;
+    }
+  }
 
   if (args.has_flag("list")) {
     std::printf("solvers:\n");
