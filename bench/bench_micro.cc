@@ -270,7 +270,7 @@ void BM_SolveRelaxationWarmPairwise(benchmark::State& state) {
   FrankWolfeStats stats;
   for (auto _ : state) {
     const FractionalRelaxation warm = solve_relaxation(
-        topo.graph(), flows, model, budget, &workspace, &warm_rows);
+        topo.graph(), flows, model, budget, &workspace, warm_rows);
     iterations += warm.total_fw_iterations;
     stats += warm.fw_stats;
     benchmark::DoNotOptimize(warm.lower_bound_energy);

@@ -235,10 +235,7 @@ int run_stream(const dcn::bench::Args& args) {
     return 2;
   }
 
-  std::vector<double> rates;
-  for (const std::string& r : args.get_list("rates", {"8"})) {
-    rates.push_back(std::stod(r));
-  }
+  const std::vector<double> rates = args.get_double_list("rates", {8.0});
   const std::vector<std::int64_t> arrival_counts =
       args.get_int_list("flows", {100000});
   const double capacity = args.get_double("capacity", 3.0);
@@ -345,10 +342,8 @@ int main(int argc, char** argv) {
           solvers.end()) {
     solvers.push_back("oracle_dcfsr");
   }
-  std::vector<double> rates;
-  for (const std::string& r : args.get_list("rates", {"0.5", "1", "2", "4", "8"})) {
-    rates.push_back(std::stod(r));
-  }
+  const std::vector<double> rates =
+      args.get_double_list("rates", {0.5, 1.0, 2.0, 4.0, 8.0});
   const std::vector<std::int64_t> flow_counts = args.get_int_list("flows", {60});
   const int runs = static_cast<int>(args.get_int("runs", 3));
   const std::string scenario = args.get_list("scenario", {"fat_tree/poisson"})[0];

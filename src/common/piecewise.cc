@@ -46,12 +46,7 @@ double StepFunction::value_at(double t) const {
 }
 
 double StepFunction::max_value() const {
-  double v = 0.0, best = 0.0;
-  for (const auto& [time, delta] : deltas_) {
-    v += delta;
-    best = std::max(best, v);
-  }
-  return best;
+  return piecewise_detail::fold_max(deltas_);
 }
 
 double StepFunction::max_within(const Interval& window) const {
@@ -83,17 +78,7 @@ double StepFunction::integral() const {
 
 double StepFunction::integrate_transformed(
     const Interval& window, const std::function<double(double)>& transform) const {
-  double v = 0.0, total = 0.0;
-  double prev = -std::numeric_limits<double>::infinity();
-  for (const auto& [time, delta] : deltas_) {
-    const Interval seg{prev, time};
-    const Interval clip = seg.intersect(window);
-    if (!clip.empty() && v > kZeroEps) total += transform(v) * clip.measure();
-    v += delta;
-    prev = time;
-  }
-  // Tail beyond the last breakpoint has value zero by construction.
-  return total;
+  return piecewise_detail::fold_integrate(deltas_, window, transform);
 }
 
 double StepFunction::positive_measure(const Interval& window, double eps) const {
@@ -160,16 +145,7 @@ std::vector<std::pair<Interval, double>> StepFunction::segments() const {
 }
 
 bool StepFunction::is_zero() const {
-  double v = 0.0;
-  double prev = 0.0;
-  bool have_prev = false;
-  for (const auto& [time, delta] : deltas_) {
-    if (have_prev && std::fabs(v) >= kZeroEps && time > prev) return false;
-    v += delta;
-    prev = time;
-    have_prev = true;
-  }
-  return true;
+  return piecewise_detail::fold_is_zero(deltas_);
 }
 
 // ---------------------------------------------------------------------------

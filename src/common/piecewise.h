@@ -7,6 +7,7 @@
 // the dynamic-energy term of Eq. 5/6.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -25,6 +26,56 @@ namespace piecewise_detail {
 /// float error when many flows start/stop at the same instant. Shared
 /// by StepFunction and LoadProfile — the two must agree bit for bit.
 constexpr double kZeroEps = 1e-12;
+
+// The ascending folds StepFunction runs over its breakpoint map, over
+// any ascending range of (time, delta) pairs whose deltas were summed
+// per time in insertion order. StepFunction calls them on its map;
+// TouchedEdgeLoad (schedule/schedule.h) calls them on one edge's merged
+// breakpoints in a flat vector — so the two fold bit for bit alike.
+
+/// Maximum value attained (0 for the zero function).
+template <class Breakpoints>
+double fold_max(const Breakpoints& breakpoints) {
+  double v = 0.0, best = 0.0;
+  for (const auto& [time, delta] : breakpoints) {
+    v += delta;
+    best = std::max(best, v);
+  }
+  return best;
+}
+
+/// True when the function is identically zero.
+template <class Breakpoints>
+bool fold_is_zero(const Breakpoints& breakpoints) {
+  double v = 0.0;
+  double prev = 0.0;
+  bool have_prev = false;
+  for (const auto& [time, delta] : breakpoints) {
+    if (have_prev && std::fabs(v) >= kZeroEps && time > prev) return false;
+    v += delta;
+    prev = time;
+    have_prev = true;
+  }
+  return true;
+}
+
+/// Integral of transform(value) over `window` where the value is
+/// strictly positive.
+template <class Breakpoints, class Transform>
+double fold_integrate(const Breakpoints& breakpoints, const Interval& window,
+                      const Transform& transform) {
+  double v = 0.0, total = 0.0;
+  double prev = -std::numeric_limits<double>::infinity();
+  for (const auto& [time, delta] : breakpoints) {
+    const Interval seg{prev, time};
+    const Interval clip = seg.intersect(window);
+    if (!clip.empty() && v > kZeroEps) total += transform(v) * clip.measure();
+    v += delta;
+    prev = time;
+  }
+  // Tail beyond the last breakpoint has value zero by construction.
+  return total;
+}
 }  // namespace piecewise_detail
 
 /// A right-continuous piecewise-constant function on the real line,

@@ -27,33 +27,36 @@ std::vector<Path> sample_paths(const std::vector<FlowCandidates>& candidates,
   return paths;
 }
 
-Schedule density_schedule(const std::vector<Flow>& flows,
-                          const std::vector<Path>& paths) {
+namespace {
+
+/// density_schedule over paths held by pointer (rounding keeps its
+/// draws as pointers into the candidates and the pinned paths).
+Schedule density_schedule_of(const std::vector<Flow>& flows,
+                             const std::vector<const Path*>& paths) {
   DCN_EXPECTS(paths.size() == flows.size());
   Schedule schedule;
   schedule.flows.resize(flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
     FlowSchedule& fs = schedule.flows[i];
-    fs.path = paths[i];
+    fs.path = *paths[i];
     fs.segments = {{flows[i].span(), flows[i].density()}};
   }
   return schedule;
 }
 
-namespace {
-
-/// Peak rate over all links; used for the capacity accept/reject step.
-double peak_link_rate(const Graph& g, const Schedule& schedule) {
-  double peak = 0.0;
-  for (const StepFunction& tl : link_timelines(g, schedule)) {
-    peak = std::max(peak, tl.max_value());
-  }
-  return peak;
-}
-
 }  // namespace
 
-RandomScheduleResult round_relaxation(const Graph& g, const std::vector<Flow>& flows,
+Schedule density_schedule(const std::vector<Flow>& flows,
+                          const std::vector<Path>& paths) {
+  std::vector<const Path*> pointers;
+  pointers.reserve(paths.size());
+  for (const Path& path : paths) pointers.push_back(&path);
+  return density_schedule_of(flows, pointers);
+}
+
+// The graph is not read: a draw's check needs only its paths' edges.
+RandomScheduleResult round_relaxation(const Graph& /*g*/,
+                                      const std::vector<Flow>& flows,
                                       const PowerModel& model,
                                       const FractionalRelaxation& relaxation,
                                       Rng& rng, const RandomScheduleOptions& options,
@@ -61,6 +64,16 @@ RandomScheduleResult round_relaxation(const Graph& g, const std::vector<Flow>& f
   DCN_EXPECTS(options.max_rounding_attempts >= 1);
   DCN_EXPECTS(options.best_of >= 1);
   DCN_EXPECTS(forced_paths == nullptr || forced_paths->size() == flows.size());
+  DCN_EXPECTS(relaxation.candidates.size() == flows.size());
+  auto forced = [&](std::size_t i) {
+    return forced_paths != nullptr ? (*forced_paths)[i] : nullptr;
+  };
+  // Pinned rows may come without candidates (solve_relaxation's
+  // first_candidate_row); every other row draws from its own.
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    DCN_EXPECTS(forced(i) != nullptr ||
+                !relaxation.candidates[i].paths.empty());
+  }
 
   RandomScheduleResult result;
   result.lower_bound_energy = relaxation.lower_bound_energy;
@@ -72,32 +85,34 @@ RandomScheduleResult round_relaxation(const Graph& g, const std::vector<Flow>& f
   double best_energy = std::numeric_limits<double>::infinity();
   std::int32_t feasible_found = 0;
 
-  Schedule last_draw;
+  // A draw is checked on the edges of its paths only (TouchedEdgeLoad:
+  // bitwise the full-fabric link timelines' peak and energy), and only
+  // the kept draw becomes a Schedule.
+  std::vector<const Path*> drawn(flows.size());
+  std::vector<const Path*> best;
+  TouchedEdgeLoad load;
   std::vector<double> weights;
   for (std::int32_t attempt = 1; attempt <= options.max_rounding_attempts; ++attempt) {
     result.rounding_attempts = attempt;
     // Pinned flows keep their committed path; the rest draw from their
     // candidate distribution through the same draw_path as
     // sample_paths, so unpinned rounding consumes the rng identically.
-    std::vector<Path> paths;
-    paths.reserve(relaxation.candidates.size());
-    for (std::size_t i = 0; i < relaxation.candidates.size(); ++i) {
-      if (forced_paths != nullptr && (*forced_paths)[i] != nullptr) {
-        paths.push_back(*(*forced_paths)[i]);
-      } else {
-        paths.push_back(draw_path(relaxation.candidates[i], rng, weights));
-      }
+    load.clear();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      drawn[i] = forced(i) != nullptr
+                     ? forced(i)
+                     : &draw_path(relaxation.candidates[i], rng, weights);
+      const RateSegment density{flows[i].span(), flows[i].density()};
+      load.add_row(drawn[i]->edges, {&density, 1});
     }
-    last_draw = density_schedule(flows, paths);
-    if (peak_link_rate(g, last_draw) > model.capacity() * (1.0 + 1e-9)) {
+    if (load.peak() > model.capacity() * (1.0 + 1e-9)) {
       continue;  // capacity violated: redraw (Algorithm 2 repeat step)
     }
     ++feasible_found;
-    const double energy = energy_phi_f(g, last_draw, model, horizon);
+    const double energy = load.energy_phi_f(model, horizon);
     if (energy < best_energy) {
       best_energy = energy;
-      result.schedule = std::move(last_draw);
-      last_draw = {};
+      best = drawn;
     }
     if (feasible_found >= options.best_of) break;
   }
@@ -106,11 +121,12 @@ RandomScheduleResult round_relaxation(const Graph& g, const std::vector<Flow>& f
     // No capacity-feasible rounding found; report the last draw so the
     // caller can inspect the violation.
     result.capacity_feasible = false;
-    result.schedule = std::move(last_draw);
-    result.energy = energy_phi_f(g, result.schedule, model, horizon);
+    result.schedule = density_schedule_of(flows, drawn);
+    result.energy = load.energy_phi_f(model, horizon);
     return result;
   }
   result.capacity_feasible = true;
+  if (!best.empty()) result.schedule = density_schedule_of(flows, best);
   result.energy = best_energy;
   return result;
 }

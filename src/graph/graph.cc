@@ -1,12 +1,24 @@
 #include "graph/graph.h"
 
+#include <atomic>
+
 namespace dcn {
+
+namespace {
+// The source of Graph::revision stamps; 0 is the empty default graph's.
+std::atomic<std::uint64_t> next_revision{1};
+}  // namespace
+
+void Graph::bump_revision() {
+  revision_ = next_revision.fetch_add(1, std::memory_order_relaxed);
+}
 
 NodeId Graph::add_node() {
   out_edges_.emplace_back();
   in_edges_.emplace_back();
   solo_neighbor_.push_back(kInvalidNode);
   multi_neighbor_.push_back(false);
+  bump_revision();
   return num_nodes() - 1;
 }
 
@@ -19,6 +31,7 @@ NodeId Graph::add_nodes(std::int32_t n) {
                         kInvalidNode);
   multi_neighbor_.resize(multi_neighbor_.size() + static_cast<std::size_t>(n),
                          false);
+  bump_revision();
   return first;
 }
 
@@ -42,6 +55,7 @@ EdgeId Graph::add_edge(NodeId src, NodeId dst) {
   in_edges_[static_cast<std::size_t>(dst)].push_back(id);
   note_neighbor(src, dst);
   note_neighbor(dst, src);
+  bump_revision();
   return id;
 }
 

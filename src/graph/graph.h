@@ -107,8 +107,17 @@ class Graph {
     return !multi_neighbor_[static_cast<std::size_t>(u)];
   }
 
+  /// Structure stamp: every add_node/add_nodes/add_edge draws a fresh
+  /// value from one process-wide counter, so two graphs share a stamp
+  /// only when one is an unmodified copy of the other (or both are
+  /// default-constructed and empty). Caches of derived structure (the
+  /// solvers' CSR snapshots) key on it — never on the graph's address,
+  /// which a different graph may reuse.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
+
  private:
   void note_neighbor(NodeId u, NodeId neighbor);
+  void bump_revision();
 
   std::vector<Edge> edges_;
   std::vector<EdgeId> reverse_;
@@ -116,6 +125,7 @@ class Graph {
   std::vector<std::vector<EdgeId>> in_edges_;
   std::vector<NodeId> solo_neighbor_;  // the one neighbor seen so far
   std::vector<bool> multi_neighbor_;   // node has >= 2 distinct neighbors
+  std::uint64_t revision_ = 0;
 };
 
 }  // namespace dcn

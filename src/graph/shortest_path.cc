@@ -115,6 +115,7 @@ void CsrAdjacency::build(const Graph& g) {
   offsets_[n] = static_cast<std::int32_t>(neighbors_.size());
   transit_offsets_[n] = static_cast<std::int32_t>(transit_neighbors_.size());
   leaf_in_offsets_[n] = static_cast<std::int32_t>(leaf_in_edges_.size());
+  revision_ = g.revision();
 }
 
 void DijkstraWorkspace::begin_sweep(std::size_t num_nodes) {

@@ -52,8 +52,9 @@ struct ShortestPathTree {
 /// its in-edges. Repeated sweeps walk this instead of the
 /// pointer-chasing vector-of-vectors adjacency; targeted sweeps walk
 /// the leaf-free transit view and resolve leaf targets from their
-/// single neighbor afterwards. Callers own freshness — build once per
-/// solve while the graph is fixed.
+/// single neighbor afterwards. A snapshot remembers the
+/// Graph::revision it was built from, so sync() rebuilds only after
+/// the graph changed.
 class CsrAdjacency {
  public:
   struct Neighbor {
@@ -66,6 +67,13 @@ class CsrAdjacency {
   };
 
   void build(const Graph& g);
+
+  /// build(g) unless this snapshot already holds g's current revision:
+  /// a workspace reused across solves on one graph builds it once, while
+  /// a different graph, or the same one grown by add_edge, rebuilds.
+  void sync(const Graph& g) {
+    if (revision_ != g.revision()) build(g);
+  }
 
   [[nodiscard]] std::int32_t num_nodes() const {
     return static_cast<std::int32_t>(offsets_.size()) - 1;
@@ -101,6 +109,9 @@ class CsrAdjacency {
   std::vector<InEdge> leaf_in_edges_;
   std::vector<std::int32_t> leaf_in_offsets_;
   std::vector<std::uint8_t> leaf_;
+  // Graph::revision of the last build; no graph ever carries the
+  // initial value.
+  std::uint64_t revision_ = std::numeric_limits<std::uint64_t>::max();
 };
 
 /// Reusable scratch state for repeated Dijkstra sweeps over the same

@@ -36,23 +36,30 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
                                       const PowerModel& model,
                                       const RelaxationOptions& options,
                                       RelaxationWorkspace* workspace,
-                                      const std::vector<SparseEdgeFlow>* warm_by_flow,
-                                      const std::vector<AtomSet>* warm_atoms_by_flow) {
+                                      std::vector<SparseEdgeFlow> warm_by_flow,
+                                      std::vector<AtomSet> warm_atoms_by_flow,
+                                      std::size_t first_candidate_row) {
   validate_flows(g, flows);
+  DCN_EXPECTS(first_candidate_row <= flows.size());
   FractionalRelaxation out;
   out.decomposition = decompose_intervals(flows);
   const IntervalDecomposition& dec = out.decomposition;
 
-  // Per flow: candidate paths keyed by edge sequence, accumulating wbar.
-  std::vector<PathAccumulator> accum(flows.size());
+  // Per flow from first_candidate_row on: candidate paths keyed by edge
+  // sequence, accumulating wbar.
+  std::vector<PathAccumulator> accum(flows.size() - first_candidate_row);
 
   // Warm-start bookkeeping: per flow, its sparse fractional edge flow
   // from the previous interval it was active in; seeded from the caller
-  // when it carries rows from a previous related solve.
-  std::vector<SparseEdgeFlow> prev_flow_by_flow(flows.size());
-  if (warm_by_flow != nullptr) {
-    DCN_EXPECTS(warm_by_flow->size() == flows.size());
-    prev_flow_by_flow = *warm_by_flow;
+  // when it carries rows from a previous related solve. Rows move from
+  // the caller through here into each interval's solve and back out.
+  const bool caller_warm = !warm_by_flow.empty();
+  std::vector<SparseEdgeFlow> prev_flow_by_flow;
+  if (caller_warm) {
+    DCN_EXPECTS(warm_by_flow.size() == flows.size());
+    prev_flow_by_flow = std::move(warm_by_flow);
+  } else {
+    prev_flow_by_flow.resize(flows.size());
   }
   // Atom carry-over (pairwise rule): per flow, the path-atom
   // decomposition matching prev_flow_by_flow, threaded across intervals
@@ -60,12 +67,13 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   // solve seeds its active sets without re-decomposing the warm rows.
   const bool atomic =
       options.frank_wolfe.step_rule == FrankWolfeStepRule::kPairwise;
-  std::vector<AtomSet> prev_atoms_by_flow(flows.size());
-  if (atomic && warm_atoms_by_flow != nullptr) {
-    DCN_EXPECTS(warm_atoms_by_flow->size() == flows.size());
-    prev_atoms_by_flow = *warm_atoms_by_flow;
+  std::vector<AtomSet> prev_atoms_by_flow;
+  if (atomic && !warm_atoms_by_flow.empty()) {
+    DCN_EXPECTS(warm_atoms_by_flow.size() == flows.size());
+    prev_atoms_by_flow = std::move(warm_atoms_by_flow);
+  } else {
+    prev_atoms_by_flow.resize(flows.size());
   }
-  std::vector<AtomSet> interval_atoms;
 
   // All O(V)/O(E) scratch lives in workspaces reused across intervals —
   // and, when the caller passes one, across whole solves.
@@ -74,21 +82,23 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   ConvexMcfWorkspace& mcf_workspace = ws.mcf;
   DijkstraWorkspace& sp_workspace = ws.shortest_path;
   FlowDecompositionWorkspace& decomposition_workspace = ws.decomposition;
-  CsrAdjacency& adjacency = ws.adjacency;
-  adjacency.build(g);
+  const CsrAdjacency& adjacency = mcf_workspace.adjacency(g);
 
   // The empty-network marginal weights are identical for every interval
-  // and every new flow: hoist them out of the loops.
+  // and every new flow, and across solves under one cost model.
   const auto num_edges = static_cast<std::size_t>(g.num_edges());
   const EnvelopeCostSpec& envelope = model.envelope_cost();
   const double w_zero = std::max(envelope.derivative(0.0), kMinEdgeWeight);
-  const std::vector<double> w0(num_edges, w_zero);
+  std::vector<double>& w0 = ws.empty_weights;
+  if (w0.size() != num_edges || (num_edges > 0 && w0.front() != w_zero)) {
+    w0.assign(num_edges, w_zero);
+  }
 
   // Scratch for grouping an interval's new flows by source.
   std::vector<std::pair<NodeId, std::size_t>> new_by_source;
   std::vector<NodeId> group_targets;
   Path path_scratch;
-  std::vector<double> loaded_weights;
+  std::vector<double>& loaded_weights = ws.loaded_weights;
 
   double gap_sum = 0.0;
   std::size_t solved_intervals = 0;
@@ -120,7 +130,8 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     for (std::size_t c = 0; c < active.size(); ++c) {
       const auto fid = static_cast<std::size_t>(active[c]);
       if (!prev_flow_by_flow[fid].empty()) {
-        warm[c] = prev_flow_by_flow[fid];
+        // Every active flow's entry is reassigned after the solve.
+        warm[c] = std::move(prev_flow_by_flow[fid]);
       } else {
         new_by_source.emplace_back(problem.commodities[c].src, c);
       }
@@ -137,7 +148,7 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     // sum below is zero and these weights degenerate to w0 exactly, so
     // cold behavior (and the offline algorithm) is bit-identical.
     const std::vector<double>* init_weights = &w0;
-    if (warm_by_flow != nullptr && !new_by_source.empty()) {
+    if (caller_warm && !new_by_source.empty()) {
       loaded_weights.assign(num_edges, 0.0);
       for (const SparseEdgeFlow& row : warm) {
         for (const auto& [e, v] : row) {
@@ -179,18 +190,18 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     // Carried atoms for this interval's commodities (pairwise only):
     // flows active in the previous interval hand their active sets
     // straight to the solver.
-    const std::vector<AtomSet>* atoms_in = nullptr;
+    std::vector<AtomSet> interval_atoms;
     if (atomic) {
-      interval_atoms.assign(active.size(), {});
+      interval_atoms.resize(active.size());
       for (std::size_t c = 0; c < active.size(); ++c) {
         const auto fid = static_cast<std::size_t>(active[c]);
         interval_atoms[c] = std::move(prev_atoms_by_flow[fid]);
       }
-      atoms_in = &interval_atoms;
     }
 
-    ConvexMcfSolution sol = solve_convex_mcf(
-        problem, options.frank_wolfe, &warm, &mcf_workspace, atoms_in);
+    ConvexMcfSolution sol =
+        solve_convex_mcf(problem, options.frank_wolfe, std::move(warm),
+                         &mcf_workspace, std::move(interval_atoms));
 
     out.lower_bound_energy += sol.cost * dec.intervals[k].measure();
     gap_sum += sol.relative_gap;
@@ -198,36 +209,42 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
     out.fw_stats += sol.stats;
     ++solved_intervals;
 
-    // Aggregate wbar per active flow. An atom-rule solve already carries
-    // the path decomposition — its final active sets — so the atoms are
-    // read off directly (normalized over the set, matching the
-    // decomposition's sum-to-1 contract); a classic solve runs the
-    // Raghavan-Tompson extraction as before, keeping the offline
-    // trajectory byte-identical.
+    // Aggregate wbar per active flow that needs candidates. An
+    // atom-rule solve already carries the path decomposition — its final
+    // active sets — so the atoms are read off directly (normalized over
+    // the set, matching the decomposition's sum-to-1 contract); a
+    // classic solve runs the Raghavan-Tompson extraction as before,
+    // keeping the offline trajectory byte-identical. Rows before
+    // first_candidate_row only carry their rows and atoms forward.
     for (std::size_t c = 0; c < active.size(); ++c) {
       const auto fid = static_cast<std::size_t>(active[c]);
-      const Flow& fl = flows[fid];
-      const double interval_share =
-          dec.intervals[k].measure() / (fl.deadline - fl.release);
-      if (atomic && !sol.commodity_atoms[c].empty()) {
-        double total_weight = 0.0;
-        for (const PathAtom& atom : sol.commodity_atoms[c]) {
-          total_weight += atom.weight;
-        }
-        DCN_ENSURES(total_weight > 0.0);
-        for (const PathAtom& atom : sol.commodity_atoms[c]) {
-          accum[fid][atom.edges] += atom.weight / total_weight * interval_share;
-        }
-        prev_atoms_by_flow[fid] = std::move(sol.commodity_atoms[c]);
-      } else {
-        const std::vector<WeightedPath> paths = decompose_flow_sparse(
-            g, fl.src, fl.dst, sol.commodity_flow[c], fl.density(),
-            &decomposition_workspace);
-        for (const WeightedPath& wp : paths) {
-          accum[fid][wp.path.edges] += wp.weight * interval_share;
+      if (fid >= first_candidate_row) {
+        const Flow& fl = flows[fid];
+        const double interval_share =
+            dec.intervals[k].measure() / (fl.deadline - fl.release);
+        PathAccumulator& acc = accum[fid - first_candidate_row];
+        if (atomic && !sol.commodity_atoms[c].empty()) {
+          double total_weight = 0.0;
+          for (const PathAtom& atom : sol.commodity_atoms[c]) {
+            total_weight += atom.weight;
+          }
+          DCN_ENSURES(total_weight > 0.0);
+          for (const PathAtom& atom : sol.commodity_atoms[c]) {
+            acc[atom.edges] += atom.weight / total_weight * interval_share;
+          }
+        } else {
+          const std::vector<WeightedPath> paths = decompose_flow_sparse(
+              g, fl.src, fl.dst, sol.commodity_flow[c], fl.density(),
+              &decomposition_workspace);
+          for (const WeightedPath& wp : paths) {
+            acc[wp.path.edges] += wp.weight * interval_share;
+          }
         }
       }
-      prev_flow_by_flow[fid] = sol.commodity_flow[c];
+      if (atomic && !sol.commodity_atoms[c].empty()) {
+        prev_atoms_by_flow[fid] = std::move(sol.commodity_atoms[c]);
+      }
+      prev_flow_by_flow[fid] = std::move(sol.commodity_flow[c]);
     }
   }
 
@@ -241,12 +258,13 @@ FractionalRelaxation solve_relaxation(const Graph& g, const std::vector<Flow>& f
   // — the exact order the seed's std::map iteration produced.
   out.candidates.resize(flows.size());
   std::vector<std::pair<std::vector<EdgeId>, double>> sorted;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    DCN_ENSURES(!accum[i].empty());
+  for (std::size_t i = first_candidate_row; i < flows.size(); ++i) {
+    PathAccumulator& acc = accum[i - first_candidate_row];
+    DCN_ENSURES(!acc.empty());
     sorted.clear();
-    sorted.reserve(accum[i].size());
+    sorted.reserve(acc.size());
     // dcn-lint: allow(unordered-iter) drain-then-sort: every entry lands in `sorted` and is lexicographically ordered below before any float is accumulated, so hash order cannot reach the candidates
-    for (auto& entry : accum[i]) sorted.push_back(std::move(entry));
+    for (auto& entry : acc) sorted.push_back(std::move(entry));
     std::sort(sorted.begin(), sorted.end());
     double total = 0.0;
     for (const auto& [edges, w] : sorted) total += w;

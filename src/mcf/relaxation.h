@@ -57,7 +57,8 @@ struct FractionalRelaxation {
   IntervalDecomposition decomposition;
   /// LB: the fractional optimum's energy over the whole horizon.
   double lower_bound_energy = 0.0;
-  /// Per flow: candidate paths and rounding probabilities wbar.
+  /// Per flow: candidate paths and rounding probabilities wbar (empty
+  /// for the rows before the solve's `first_candidate_row`).
   std::vector<FlowCandidates> candidates;
   /// Mean final Frank-Wolfe relative gap across intervals (diagnostic).
   double mean_relative_gap = 0.0;
@@ -82,23 +83,25 @@ struct FractionalRelaxation {
   std::vector<AtomSet> final_atoms;
 };
 
-/// Reusable scratch for solve_relaxation: the Frank-Wolfe workspace,
-/// Dijkstra/decomposition state, and the adjacency snapshot. One
-/// workspace held across a sequence of related solves (the online
-/// scheduler's per-arrival re-solves) eliminates all O(V)/O(E)
+/// Reusable scratch for solve_relaxation: the Frank-Wolfe workspace
+/// (which also holds the one adjacency snapshot, rebuilt only when the
+/// graph changes), Dijkstra/decomposition state, and the cold-routing
+/// weights. One workspace held across a sequence of related solves (the
+/// online scheduler's per-arrival re-solves) eliminates all O(V)/O(E)
 /// allocation after the first call. Treat as opaque.
 struct RelaxationWorkspace {
   ConvexMcfWorkspace mcf;
   DijkstraWorkspace shortest_path;
   FlowDecompositionWorkspace decomposition;
-  CsrAdjacency adjacency;
+  std::vector<double> empty_weights;   // every edge at the marginal cost of 0
+  std::vector<double> loaded_weights;  // marginal costs of the carried rows
 };
 
 /// Solves the relaxation interval by interval (streaming; consecutive
 /// intervals warm-start from each other).
 ///
 /// `workspace`, when non-null, is reused across calls. `warm_by_flow`,
-/// when non-null, must have one sparse row per flow; a non-empty row
+/// when non-empty, must have one sparse row per flow; a non-empty row
 /// seeds that flow's *first* interval solve instead of the cheapest-path
 /// cold start, and must route exactly the flow's density from src to dst
 /// (rows from a previous solve_relaxation's `final_flow` qualify as long
@@ -106,16 +109,27 @@ struct RelaxationWorkspace {
 /// residual re-solves, see src/online). Empty rows fall back to the
 /// cold start.
 ///
-/// `warm_atoms_by_flow`, when non-null (one atom set per flow; atom
+/// `warm_atoms_by_flow`, when non-empty (one atom set per flow; atom
 /// step rules only), carries each flow's active-set decomposition from a
 /// previous related solve (`final_atoms`): a non-empty set seeds the
 /// flow's first interval solve directly — no Raghavan-Tompson pass over
 /// its warm row — and must decompose exactly the flow's density. Empty
 /// sets fall back to decomposing the warm row.
+///
+/// Both are taken by value and moved through the interval solves into
+/// final_flow / final_atoms, so a caller that hands over state it is
+/// about to replace (std::move) copies no row.
+///
+/// `first_candidate_row`: only flows from this index on get candidate
+/// paths; the rows before it (flows whose paths the caller pins, such
+/// as the online scheduler's admitted flows) skip the path
+/// decomposition and wbar aggregation and get empty candidates. Every
+/// other output — the bound, final_flow, final_atoms — is unaffected.
 [[nodiscard]] FractionalRelaxation solve_relaxation(
     const Graph& g, const std::vector<Flow>& flows, const PowerModel& model,
     const RelaxationOptions& options = {}, RelaxationWorkspace* workspace = nullptr,
-    const std::vector<SparseEdgeFlow>* warm_by_flow = nullptr,
-    const std::vector<AtomSet>* warm_atoms_by_flow = nullptr);
+    std::vector<SparseEdgeFlow> warm_by_flow = {},
+    std::vector<AtomSet> warm_atoms_by_flow = {},
+    std::size_t first_candidate_row = 0);
 
 }  // namespace dcn

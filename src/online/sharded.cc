@@ -223,18 +223,21 @@ void ShardedScheduler::phase_a(GroupState& gs,
       }
       survivors.push_back(res);
       surviving.push_back(i);
-      gap_rows.push_back(warm_[i]);
+      // Moved out and moved back below; a re-rated flow's are empty.
+      gap_rows.push_back(std::move(warm_[i]));
       gap_atoms.push_back(std::move(warm_atoms_[i]));
     }
     // When every survivor was re-rated to completion there is nothing
     // to certify (and no problem to hand the relaxation): the check is
-    // skipped and not counted.
+    // skipped and not counted. It reads no candidates, so none are
+    // built.
     if (!survivors.empty()) {
       RelaxationOptions gap_options = options_.rounding.relaxation;
       gap_options.frank_wolfe.max_iterations = 1;
-      FractionalRelaxation check =
-          solve_relaxation(g_, survivors, model_, gap_options, &gs.workspace,
-                           &gap_rows, &gap_atoms);
+      FractionalRelaxation check = solve_relaxation(
+          g_, survivors, model_, gap_options, &gs.workspace,
+          std::move(gap_rows), std::move(gap_atoms),
+          /*first_candidate_row=*/survivors.size());
       ++p.gap_checks;
       p.gap_iterations += check.total_fw_iterations;
       p.fw_stats += check.fw_stats;
@@ -287,11 +290,12 @@ void ShardedScheduler::phase_a(GroupState& gs,
   // *relaxation* clipped to the window at their original densities —
   // admission below still checks the true spans, so the window affects
   // solve cost, never soundness; an epoch-batched arrival releasing at
-  // or past the horizon keeps its true span.
+  // or past the horizon keeps its true span. The warm state moves
+  // through the solve and back into warm_ / warm_atoms_ below.
   std::vector<SparseEdgeFlow> warm_rows(p.residual.size());
   std::vector<AtomSet> warm_atom_rows(p.residual.size());
   for (std::size_t r = 0; r < p.residual.size(); ++r) {
-    warm_rows[r] = warm_[p.orig[r]];
+    warm_rows[r] = std::move(warm_[p.orig[r]]);
     warm_atom_rows[r] = std::move(warm_atoms_[p.orig[r]]);
   }
   const std::vector<Flow>* relax_flows = &p.residual;
@@ -316,9 +320,12 @@ void ShardedScheduler::phase_a(GroupState& gs,
       relax_flows = &clipped;
     }
   }
+  // Pinned rows keep their committed paths: only the arrivals (from
+  // first_new on) need candidates, for the draw and phase B's fallback.
   p.relax = solve_relaxation(g_, *relax_flows, model_,
-                             options_.rounding.relaxation,
-                             &gs.workspace, &warm_rows, &warm_atom_rows);
+                             options_.rounding.relaxation, &gs.workspace,
+                             std::move(warm_rows), std::move(warm_atom_rows),
+                             p.first_new);
   p.solved = true;
   p.fw_iterations += p.relax.total_fw_iterations;
   p.fw_stats += p.relax.fw_stats;

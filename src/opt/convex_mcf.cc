@@ -104,9 +104,9 @@ void dense_reprice(std::vector<double>& weights, const std::vector<double>& x,
 
 ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
                                    const FrankWolfeOptions& options,
-                                   const std::vector<SparseEdgeFlow>* warm_start,
+                                   std::vector<SparseEdgeFlow> warm_start,
                                    ConvexMcfWorkspace* workspace,
-                                   const std::vector<AtomSet>* warm_atoms) {
+                                   std::vector<AtomSet> warm_atoms) {
   DCN_EXPECTS(problem.graph != nullptr);
   const Graph& g = *problem.graph;
   const auto num_edges = static_cast<std::size_t>(g.num_edges());
@@ -164,7 +164,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     }
   };
 
-  ws.csr_.build(g);
+  const CsrAdjacency& csr = ws.adjacency(g);
   group_by_sweep_root(g, problem.commodities, ws.by_source_);
   ws.group_bounds_.clear();
   if (options.batch_oracle) {
@@ -203,9 +203,11 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
   if (options.oracle_threads > 0) {
     requested_threads = static_cast<std::size_t>(options.oracle_threads);
   } else if (options.oracle_threads == 0) {
+    // Read once per process: on Linux each call is a sysfs read.
+    static const std::size_t hardware =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
     requested_threads = std::min<std::size_t>(
-        std::max<std::size_t>(1, std::thread::hardware_concurrency()),
-        std::max<std::size_t>(1, ws.group_bounds_.size()));
+        hardware, std::max<std::size_t>(1, ws.group_bounds_.size()));
   }
   if (requested_threads > 1) {
     const bool rebuild =
@@ -233,7 +235,7 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     for (std::size_t i = lo; i < hi; ++i) {
       targets.push_back(problem.commodities[ws.by_source_[i].second].dst);
     }
-    dijkstra_sweep(ws.csr_, root, weights, targets, dijkstra);
+    dijkstra_sweep(csr, root, weights, targets, dijkstra);
     for (std::size_t i = lo; i < hi; ++i) {
       const std::size_t c = ws.by_source_[i].second;
       const Commodity& com = problem.commodities[c];
@@ -277,38 +279,38 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     stats.oracle_seconds += seconds_since(t0);
   };
 
-  // Initial point: warm start when shapes match, otherwise route every
-  // commodity on its cheapest path under the empty-network marginal
-  // cost — which is exactly the clean workspace weights vector.
-  // Commodities with a carried active set (pairwise only) skip the
-  // row copy: their rows are rebuilt from the atoms below, so the atom
-  // representation and the edge flow agree to the last bit.
-  const bool atoms_carried = atomic && warm_atoms != nullptr &&
-                             warm_atoms->size() == num_commodities;
+  // Initial point: warm start when shapes match (the rows move in and
+  // lose their dust entries in place), otherwise route every commodity
+  // on its cheapest path under the empty-network marginal cost — which
+  // is exactly the clean workspace weights vector. Commodities with a
+  // carried active set (pairwise only) skip the row: it is rebuilt
+  // from the atoms below, so the atom representation and the edge flow
+  // agree to the last bit.
+  const bool atoms_carried = atomic && warm_atoms.size() == num_commodities;
   auto has_carried_atoms = [&](std::size_t c) {
     if (!atoms_carried) return false;
-    for (const PathAtom& atom : (*warm_atoms)[c]) {
+    for (const PathAtom& atom : warm_atoms[c]) {
       if (atom.weight > 1e-12) return true;
     }
     return false;
   };
   std::vector<SparseEdgeFlow>& rows = sol.commodity_flow;
-  rows.assign(num_commodities, {});
-  bool warm_rows = false;
-  if (warm_start != nullptr && warm_start->size() == num_commodities) {
-    warm_rows = true;
+  SparseRowIndex& row_index = ws.row_index_;
+  const bool warm_rows = warm_start.size() == num_commodities;
+  if (warm_rows) {
+    rows = std::move(warm_start);
     for (std::size_t c = 0; c < num_commodities; ++c) {
       if (has_carried_atoms(c)) continue;
-      for (const auto& [e, v] : (*warm_start)[c]) {
-        DCN_EXPECTS(g.valid_edge(e));
-        if (v > 1e-15) rows[c].emplace_back(e, v);
-      }
+      for (const auto& [e, v] : rows[c]) DCN_EXPECTS(g.valid_edge(e));
+      std::erase_if(rows[c], [](const auto& kv) { return !(kv.second > 1e-15); });
     }
   } else {
+    rows.assign(num_commodities, {});
     cheapest_paths(ws.weights_);
     for (std::size_t c = 0; c < num_commodities; ++c) {
+      row_index.bind(rows[c], num_edges);
       for (EdgeId e : ws.target_paths_[c].edges) {
-        sparse_flow_add(rows[c], e, problem.commodities[c].demand);
+        row_index.add(e, problem.commodities[c].demand);
       }
     }
   }
@@ -329,15 +331,18 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
     for (std::size_t c = 0; c < num_commodities; ++c) {
       if (has_carried_atoms(c)) {
         // The carried atoms define the commodity's initial point: drop
-        // whatever the row holds (the cold-start path when warm_start
-        // was absent) so the rebuild below cannot stack on top of it.
+        // whatever the row holds (the warm row, or the cold-start path
+        // when warm_start was absent) so the rebuild below cannot stack
+        // on top of it.
         rows[c].clear();
-        for (const PathAtom& atom : (*warm_atoms)[c]) {
-          if (atom.weight <= 1e-12) continue;
-          atoms[c].push_back(atom);
+        atoms[c] = std::move(warm_atoms[c]);
+        std::erase_if(atoms[c],
+                      [](const PathAtom& atom) { return atom.weight <= 1e-12; });
+        row_index.bind(rows[c], num_edges);
+        for (const PathAtom& atom : atoms[c]) {
           for (const EdgeId e : atom.edges) {
             DCN_EXPECTS(g.valid_edge(e));
-            sparse_flow_add(rows[c], e, atom.weight);
+            row_index.add(e, atom.weight);
           }
         }
         std::sort(rows[c].begin(), rows[c].end());
@@ -351,12 +356,11 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
                                   &ws.atom_seed_);
         atoms[c].reserve(paths.size());
         rows[c].clear();
+        row_index.bind(rows[c], num_edges);
         for (const WeightedPath& wp : paths) {
           const double mass = wp.weight * com.demand;
           atoms[c].push_back({wp.path.edges, mass});
-          for (const EdgeId e : wp.path.edges) {
-            sparse_flow_add(rows[c], e, mass);
-          }
+          for (const EdgeId e : wp.path.edges) row_index.add(e, mass);
         }
         std::sort(rows[c].begin(), rows[c].end());
       } else {
@@ -571,12 +575,11 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
         if (t <= 1e-12) continue;
 
         const double delta = t * mass;
+        row_index.bind(rows[c], num_edges);
         for (const EdgeId e : ws.target_paths_[c].edges) {
-          sparse_flow_add(rows[c], e, delta);
+          row_index.add(e, delta);
         }
-        for (const EdgeId e : atoms[c][away].edges) {
-          sparse_flow_add(rows[c], e, -delta);
-        }
+        for (const EdgeId e : atoms[c][away].edges) row_index.add(e, -delta);
         // Compact near-zero entries occasionally to bound the support.
         if (rows[c].size() > 256) {
           std::erase_if(rows[c],
@@ -634,8 +637,9 @@ ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem& problem,
       // Sparse mix: y_c <- (1-gamma) y_c + gamma * demand_c * path_c.
       for (std::size_t c = 0; c < num_commodities; ++c) {
         for (auto& [e, v] : rows[c]) v *= (1.0 - gamma);
+        row_index.bind(rows[c], num_edges);
         for (EdgeId e : ws.target_paths_[c].edges) {
-          sparse_flow_add(rows[c], e, gamma * problem.commodities[c].demand);
+          row_index.add(e, gamma * problem.commodities[c].demand);
         }
         // Compact near-zero entries occasionally to bound the support.
         if (rows[c].size() > 256) {

@@ -197,26 +197,29 @@ struct ConvexMcfSolution {
 
 class ConvexMcfWorkspace;
 
-/// Solves the problem. `warm_start`, when non-null and of matching
-/// length, provides one sparse row per commodity used as the initial
-/// point (consecutive intervals in Algorithm 2 share most active flows,
-/// so warm starts cut iteration counts substantially). `workspace`,
-/// when non-null, is reused across calls and eliminates all O(V)/O(E)
-/// scratch allocation after the first solve on a given graph.
+/// Solves the problem. `warm_start`, when it holds one sparse row per
+/// commodity, provides the initial point (consecutive intervals in
+/// Algorithm 2 share most active flows, so warm starts cut iteration
+/// counts substantially); any other length means a cold start. The rows
+/// are taken by value and moved into the solution, so a caller handing
+/// over rows it no longer needs (std::move) copies nothing.
+/// `workspace`, when non-null, is reused across calls and eliminates all
+/// O(V)/O(E) scratch allocation after the first solve on a given graph.
 ///
-/// `warm_atoms`, when non-null and of matching length (pairwise rule),
-/// carries each commodity's active set from a previous related solve: a non-empty set seeds the commodity's atoms directly — its
-/// initial point is rebuilt from the atoms, the matching `warm_start`
-/// row is ignored, and the per-solve Raghavan-Tompson decomposition of
-/// that row is skipped. Atom weights must sum to the commodity's demand
-/// (a previous solve's commodity_atoms qualify as long as the demand is
+/// `warm_atoms`, when it holds one set per commodity (pairwise rule),
+/// carries each commodity's active set from a previous related solve: a
+/// non-empty set seeds the commodity's atoms directly — its initial
+/// point is rebuilt from the atoms, the matching `warm_start` row is
+/// ignored, and the per-solve Raghavan-Tompson decomposition of that
+/// row is skipped. Atom weights must sum to the commodity's demand (a
+/// previous solve's commodity_atoms qualify as long as the demand is
 /// unchanged). Empty sets fall back to decomposing the warm row (or the
 /// cold start).
 [[nodiscard]] ConvexMcfSolution solve_convex_mcf(
     const ConvexMcfProblem& problem, const FrankWolfeOptions& options = {},
-    const std::vector<SparseEdgeFlow>* warm_start = nullptr,
+    std::vector<SparseEdgeFlow> warm_start = {},
     ConvexMcfWorkspace* workspace = nullptr,
-    const std::vector<AtomSet>* warm_atoms = nullptr);
+    std::vector<AtomSet> warm_atoms = {});
 
 /// Reusable scratch for solve_convex_mcf: Dijkstra state, the dense
 /// marginal-weight and target vectors (kept in a canonical "clean"
@@ -228,17 +231,24 @@ class ConvexMcfWorkspace {
  public:
   ConvexMcfWorkspace() = default;
 
+  /// The workspace's flat adjacency snapshot of `g`, shared by every
+  /// user of the workspace (the relaxation's cold routing too). Built on
+  /// first use and again only when `g`'s Graph::revision differs from
+  /// the snapshot's, so the solves of one run on one graph build it once.
+  [[nodiscard]] const CsrAdjacency& adjacency(const Graph& g) {
+    csr_.sync(g);
+    return csr_;
+  }
+
  private:
   friend ConvexMcfSolution solve_convex_mcf(const ConvexMcfProblem&,
                                             const FrankWolfeOptions&,
-                                            const std::vector<SparseEdgeFlow>*,
+                                            std::vector<SparseEdgeFlow>,
                                             ConvexMcfWorkspace*,
-                                            const std::vector<AtomSet>*);
+                                            std::vector<AtomSet>);
 
   DijkstraWorkspace dijkstra_;
-  /// Flat adjacency snapshot, rebuilt per solve (the graph is fixed for
-  /// a solve's duration).
-  CsrAdjacency csr_;
+  CsrAdjacency csr_;  // see adjacency()
   /// Oracle worker pool + per-worker Dijkstra scratch; created lazily
   /// when oracle_threads requests parallelism.
   std::unique_ptr<WorkerPool> pool_;
@@ -264,6 +274,8 @@ class ConvexMcfWorkspace {
   std::uint64_t x_generation_ = 0;
   std::uint64_t y_generation_ = 0;
   std::vector<std::pair<double, double>> line_search_diff_;  // (x_e, y_e)
+  /// Edge -> entry position of the commodity row being updated.
+  SparseRowIndex row_index_;
 
   // Pairwise-mode state (untouched under the classic rule).
   /// Per-commodity active sets, rebuilt each solve — seeded from

@@ -44,31 +44,108 @@ std::vector<EdgeId> active_edges(const Graph& g, const Schedule& schedule) {
 
 namespace {
 
-double dynamic_energy(const Graph& g, const Schedule& schedule,
-                      const PowerModel& model, Interval horizon) {
-  const std::vector<StepFunction> timelines = link_timelines(g, schedule);
-  double total = 0.0;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    total += timelines[static_cast<std::size_t>(e)].integrate_transformed(
-        horizon, [&model](double x) { return model.g(x); });
+/// The schedule's rows, in order, on edges checked against `g`.
+TouchedEdgeLoad touched_load(const Graph& g, const Schedule& schedule) {
+  TouchedEdgeLoad load;
+  for (const FlowSchedule& fs : schedule.flows) {
+    for (const EdgeId e : fs.path.edges) DCN_EXPECTS(g.valid_edge(e));
+    load.add_row(fs.path.edges, fs.segments);
   }
-  return total;
+  return load;
 }
 
 }  // namespace
 
 double energy_phi_f(const Graph& g, const Schedule& schedule,
                     const PowerModel& model, Interval horizon) {
-  DCN_EXPECTS(!horizon.empty());
-  const auto n_active = static_cast<double>(active_edges(g, schedule).size());
-  return model.sigma() * horizon.measure() * n_active +
-         dynamic_energy(g, schedule, model, horizon);
+  return touched_load(g, schedule).energy_phi_f(model, horizon);
 }
 
 double energy_phi_g(const Graph& g, const Schedule& schedule,
                     const PowerModel& model, Interval horizon) {
+  return touched_load(g, schedule).energy_phi_g(model, horizon);
+}
+
+void TouchedEdgeLoad::clear() {
+  steps_.clear();
+  breakpoints_.clear();
+  runs_.clear();
+  merged_ = true;
+}
+
+void TouchedEdgeLoad::add_row(std::span<const EdgeId> path,
+                              std::span<const RateSegment> segments) {
+  for (const RateSegment& seg : segments) {
+    // link_timelines' and StepFunction::add's skips.
+    if (seg.rate <= 0.0 || seg.interval.empty()) continue;
+    for (const EdgeId e : path) {
+      const auto order = static_cast<std::uint32_t>(steps_.size());
+      steps_.push_back({seg.interval.lo, seg.rate, e, order});
+      // StepFunction subtracts the rate at hi; x - r == x + (-r) exactly.
+      steps_.push_back({seg.interval.hi, -seg.rate, e, order + 1});
+    }
+  }
+  merged_ = false;
+}
+
+void TouchedEdgeLoad::merge() {
+  if (merged_) return;
+  merged_ = true;
+  std::sort(steps_.begin(), steps_.end(), [](const Step& a, const Step& b) {
+    if (a.edge != b.edge) return a.edge < b.edge;
+    if (a.time != b.time) return a.time < b.time;
+    return a.order < b.order;
+  });
+  breakpoints_.clear();
+  runs_.clear();
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    const Step& step = steps_[i];
+    if (i == 0 || step.edge != steps_[i - 1].edge) {
+      runs_.push_back({breakpoints_.size(), breakpoints_.size()});
+    }
+    // A StepFunction keys its map by the first-inserted equal time and
+    // starts each entry at 0.0 before adding.
+    if (runs_.back().end == runs_.back().begin ||
+        breakpoints_.back().first != step.time) {
+      breakpoints_.emplace_back(step.time, 0.0);
+      ++runs_.back().end;
+    }
+    breakpoints_.back().second += step.delta;
+  }
+}
+
+double TouchedEdgeLoad::peak() {
+  merge();
+  double peak = 0.0;
+  for (const Run& run : runs_) {
+    peak = std::max(peak, piecewise_detail::fold_max(breakpoints(run)));
+  }
+  return peak;
+}
+
+std::pair<std::size_t, double> TouchedEdgeLoad::active_and_dynamic(
+    const PowerModel& model, Interval horizon) {
   DCN_EXPECTS(!horizon.empty());
-  return dynamic_energy(g, schedule, model, horizon);
+  merge();
+  std::size_t active = 0;
+  double dynamic = 0.0;
+  for (const Run& run : runs_) {
+    const std::span<const std::pair<double, double>> bps = breakpoints(run);
+    if (!piecewise_detail::fold_is_zero(bps)) ++active;
+    dynamic += piecewise_detail::fold_integrate(
+        bps, horizon, [&model](double x) { return model.g(x); });
+  }
+  return {active, dynamic};
+}
+
+double TouchedEdgeLoad::energy_phi_f(const PowerModel& model, Interval horizon) {
+  const auto [active, dynamic] = active_and_dynamic(model, horizon);
+  return model.sigma() * horizon.measure() * static_cast<double>(active) +
+         dynamic;
+}
+
+double TouchedEdgeLoad::energy_phi_g(const PowerModel& model, Interval horizon) {
+  return active_and_dynamic(model, horizon).second;
 }
 
 void FeasibilityReport::fail(std::string message) {

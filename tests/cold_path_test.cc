@@ -110,7 +110,7 @@ TEST(ColdPath, AdaptiveOracleIsByteDeterministicAcrossThreadCounts) {
     opts.oracle_threads = threads;
     ConvexMcfWorkspace ws;  // also exercises pool (re)build per width
     for (int round = 0; round < 2; ++round) {
-      const auto sol = solve_convex_mcf(p, opts, nullptr, &ws);
+      const auto sol = solve_convex_mcf(p, opts, {}, &ws);
       const std::string tag =
           "threads " + std::to_string(threads) + " round " +
           std::to_string(round);

@@ -157,7 +157,7 @@ TEST(ConvexMcf, WarmStartConvergesFasterOrEqual) {
   opts.max_iterations = 300;
   opts.gap_tolerance = 1e-6;
   const auto cold = solve_convex_mcf(p, opts);
-  const auto warm = solve_convex_mcf(p, opts, &cold.commodity_flow);
+  const auto warm = solve_convex_mcf(p, opts, cold.commodity_flow);
   EXPECT_LE(warm.iterations, cold.iterations);
   EXPECT_NEAR(warm.cost, cold.cost, 1e-3 * cold.cost);
 }

@@ -56,7 +56,7 @@ TEST(RelaxationWarmStart, ResolveFromOwnSolutionStopsAtFirstGapCheck) {
 
   const FractionalRelaxation warm =
       solve_relaxation(instance.graph(), instance.flows(), instance.model(),
-                       options, &workspace, &cold.final_flow);
+                       options, &workspace, cold.final_flow);
   // One iteration: the oracle runs once, sees the warm point already
   // within tolerance, and returns it untouched.
   EXPECT_EQ(warm.total_fw_iterations, 1);
@@ -115,7 +115,7 @@ TEST(RelaxationWarmStart, IncrementalResolveAfterOneArrivalIsStrictlyCheaper) {
   std::vector<SparseEdgeFlow> warm_rows = prior.final_flow;
   warm_rows.emplace_back();  // the arrival starts cold
   const FractionalRelaxation warm = solve_relaxation(
-      instance.graph(), grown, instance.model(), options, &workspace, &warm_rows);
+      instance.graph(), grown, instance.model(), options, &workspace, warm_rows);
 
   const FractionalRelaxation cold = solve_relaxation(instance.graph(), grown,
                                                      instance.model(), options);
@@ -163,7 +163,7 @@ TEST(RelaxationWarmStart, CarriedAtomsResolveFromOwnSolutionInOneIteration) {
 
   const FractionalRelaxation warm = solve_relaxation(
       instance.graph(), instance.flows(), instance.model(), options, &workspace,
-      &first.final_flow, &first.final_atoms);
+      first.final_flow, first.final_atoms);
   EXPECT_EQ(warm.total_fw_iterations, 1);
   EXPECT_NEAR(warm.lower_bound_energy, first.lower_bound_energy,
               1e-9 * first.lower_bound_energy);

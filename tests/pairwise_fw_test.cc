@@ -138,10 +138,10 @@ TEST(PairwiseFrankWolfe, ShedsWarmMassInStrictlyFewerIterationsThanClassic) {
 
     const FractionalRelaxation warm_classic =
         solve_relaxation(r.instance.graph(), r.grown, r.instance.model(),
-                         classic, &r.workspace, &r.warm_rows);
+                         classic, &r.workspace, r.warm_rows);
     const FractionalRelaxation warm_pairwise =
         solve_relaxation(r.instance.graph(), r.grown, r.instance.model(),
-                         pairwise, &r.workspace, &r.warm_rows);
+                         pairwise, &r.workspace, r.warm_rows);
 
     EXPECT_LT(warm_pairwise.total_fw_iterations,
               warm_classic.total_fw_iterations)
@@ -163,12 +163,12 @@ TEST(PairwiseFrankWolfe, ParallelOracleIsByteIdentical) {
   pairwise.frank_wolfe.step_rule = FrankWolfeStepRule::kPairwise;
   const FractionalRelaxation serial =
       solve_relaxation(r.instance.graph(), r.grown, r.instance.model(),
-                       pairwise, nullptr, &r.warm_rows);
+                       pairwise, nullptr, r.warm_rows);
   RelaxationOptions threaded = pairwise;
   threaded.frank_wolfe.oracle_threads = 4;
   const FractionalRelaxation parallel =
       solve_relaxation(r.instance.graph(), r.grown, r.instance.model(),
-                       threaded, nullptr, &r.warm_rows);
+                       threaded, nullptr, r.warm_rows);
 
   EXPECT_EQ(serial.lower_bound_energy, parallel.lower_bound_energy);
   EXPECT_EQ(serial.total_fw_iterations, parallel.total_fw_iterations);

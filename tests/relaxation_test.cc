@@ -107,5 +107,72 @@ TEST(Relaxation, MeanGapIsSmall) {
   EXPECT_LE(relax.mean_relative_gap, 5e-3);
 }
 
+TEST(Relaxation, PinnedRowsGetNoCandidatesAndChangeNothingElse) {
+  // first_candidate_row = k: rows before k (the online scheduler's
+  // pinned in-flight flows) skip decomposition and wbar aggregation.
+  // Everything else — the bound, the carried rows and atoms, the later
+  // rows' candidates — must equal the solve that gives every row
+  // candidates, for both step rules, cold and warm-started.
+  const Topology topo = fat_tree(4);
+  Rng rng(17);
+  PaperWorkloadParams params;
+  params.num_flows = 16;
+  params.horizon_hi = 20.0;
+  const auto flows = paper_workload(topo, params, rng);
+  const PowerModel model(0.5, 1.0, 2.0);
+  const std::size_t pinned = 6;
+  for (const FrankWolfeStepRule rule :
+       {FrankWolfeStepRule::kPairwise, FrankWolfeStepRule::kClassic}) {
+    RelaxationOptions options;
+    options.frank_wolfe.step_rule = rule;
+    options.frank_wolfe.max_iterations = 40;
+    const FractionalRelaxation prior =
+        solve_relaxation(topo.graph(), flows, model, options);
+    for (const bool warm : {false, true}) {
+      auto solve = [&](std::size_t first_candidate_row) {
+        RelaxationWorkspace ws;
+        return warm ? solve_relaxation(topo.graph(), flows, model, options, &ws,
+                                       prior.final_flow, prior.final_atoms,
+                                       first_candidate_row)
+                    : solve_relaxation(topo.graph(), flows, model, options, &ws,
+                                       {}, {}, first_candidate_row);
+      };
+      const FractionalRelaxation all = solve(0);
+      const FractionalRelaxation some = solve(pinned);
+      EXPECT_EQ(some.lower_bound_energy, all.lower_bound_energy);
+      EXPECT_EQ(some.total_fw_iterations, all.total_fw_iterations);
+      EXPECT_EQ(some.final_flow, all.final_flow);
+      ASSERT_EQ(some.final_atoms.size(), all.final_atoms.size());
+      for (std::size_t i = 0; i < all.final_atoms.size(); ++i) {
+        ASSERT_EQ(some.final_atoms[i].size(), all.final_atoms[i].size()) << i;
+        for (std::size_t k = 0; k < all.final_atoms[i].size(); ++k) {
+          EXPECT_EQ(some.final_atoms[i][k].edges, all.final_atoms[i][k].edges);
+          EXPECT_EQ(some.final_atoms[i][k].weight, all.final_atoms[i][k].weight);
+        }
+      }
+      ASSERT_EQ(some.candidates.size(), flows.size());
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        if (i < pinned) {
+          EXPECT_TRUE(some.candidates[i].paths.empty()) << i;
+          continue;
+        }
+        ASSERT_FALSE(some.candidates[i].paths.empty()) << i;
+        ASSERT_EQ(some.candidates[i].paths.size(), all.candidates[i].paths.size());
+        for (std::size_t k = 0; k < all.candidates[i].paths.size(); ++k) {
+          EXPECT_EQ(some.candidates[i].paths[k].path.edges,
+                    all.candidates[i].paths[k].path.edges);
+          EXPECT_EQ(some.candidates[i].paths[k].weight,
+                    all.candidates[i].paths[k].weight);
+        }
+      }
+    }
+    // Atoms exist only under the pairwise rule: the warm case above must
+    // have carried real atoms there.
+    if (rule == FrankWolfeStepRule::kPairwise) {
+      EXPECT_FALSE(prior.final_atoms[0].empty());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dcn

@@ -1,6 +1,8 @@
 // Tests for BFS and Dijkstra searches.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "graph/shortest_path.h"
 #include "topology/builders.h"
 
@@ -236,6 +238,49 @@ TEST_P(FatTreePathTest, HostDistancesFollowFatTreeStructure) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, FatTreePathTest, ::testing::Values(4, 6, 8));
+
+TEST(CsrAdjacency, SyncFollowsGraphRevisionNotAddress) {
+  // One snapshot synced against one graph address holding, in turn,
+  // the diamond, a differently wired graph with the same node and edge
+  // counts, and the diamond grown by add_edge: after each sync the
+  // snapshot's out-adjacency is the current graph's.
+  auto expect_snapshot_of = [](const CsrAdjacency& adj, const Graph& g) {
+    ASSERT_EQ(adj.num_nodes(), g.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const auto out = adj.out(u);
+      ASSERT_EQ(out.size(), g.out_edges(u).size()) << "node " << u;
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        EXPECT_EQ(out[k].edge, g.out_edges(u)[k]);
+        EXPECT_EQ(out[k].dst, g.edge(out[k].edge).dst);
+      }
+    }
+  };
+  const Graph a = diamond();
+  Graph rewired(a.num_nodes());
+  for (const Edge& e : a.edges()) {
+    rewired.add_edge((e.src + 1) % a.num_nodes(), (e.dst + 1) % a.num_nodes());
+  }
+  std::optional<Graph> slot;
+  CsrAdjacency adj;
+  slot.emplace(a);
+  const Graph* address = &*slot;
+  adj.sync(*slot);
+  expect_snapshot_of(adj, *slot);
+  slot.emplace(rewired);
+  ASSERT_EQ(&*slot, address);
+  adj.sync(*slot);
+  expect_snapshot_of(adj, *slot);
+  slot.emplace(a);
+  adj.sync(*slot);
+  expect_snapshot_of(adj, *slot);
+  slot->add_edge(3, 0);
+  adj.sync(*slot);
+  expect_snapshot_of(adj, *slot);
+  // An unchanged graph, or an unmodified copy, keeps its revision.
+  const Graph copy = *slot;
+  EXPECT_EQ(copy.revision(), slot->revision());
+  EXPECT_NE(a.revision(), slot->revision());
+}
 
 }  // namespace
 }  // namespace dcn

@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "common/random.h"
+#include "mcf/relaxation.h"
 #include "opt/convex_mcf.h"
 #include "opt/line_search.h"
 #include "power/power_model.h"
@@ -289,14 +292,116 @@ TEST(SparseEquivalence, WarmStartMatchesDenseWarmStart) {
   }
   std::sort(sparse_warm.back().begin(), sparse_warm.back().end());
 
-  const auto warm_sparse = solve_convex_mcf(p, opts, &sparse_warm);
+  const auto warm_sparse = solve_convex_mcf(p, opts, sparse_warm);
   const auto warm_dense = reference_solve(p, opts, &dense_warm);
   expect_equivalent(warm_sparse, warm_dense, topo.graph());
 }
 
+void expect_identical(const ConvexMcfSolution& a, const ConvexMcfSolution& b) {
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.cost, b.cost);
+  EXPECT_EQ(a.relative_gap, b.relative_gap);
+  EXPECT_EQ(a.total_flow, b.total_flow);
+  EXPECT_EQ(a.commodity_flow, b.commodity_flow);
+  ASSERT_EQ(a.commodity_atoms.size(), b.commodity_atoms.size());
+  for (std::size_t c = 0; c < a.commodity_atoms.size(); ++c) {
+    ASSERT_EQ(a.commodity_atoms[c].size(), b.commodity_atoms[c].size());
+    for (std::size_t k = 0; k < a.commodity_atoms[c].size(); ++k) {
+      EXPECT_EQ(a.commodity_atoms[c][k].edges, b.commodity_atoms[c][k].edges);
+      EXPECT_EQ(a.commodity_atoms[c][k].weight, b.commodity_atoms[c][k].weight);
+    }
+  }
+}
+
+/// One workspace, one graph address, three graphs: fat_tree(4) (A); B,
+/// with A's node and edge counts but every node relabeled (different
+/// wiring); and A again, then grown by two add_edge shortcuts. A
+/// snapshot keyed by address, or by address and size, would route B
+/// over A's wiring and the grown graph without its shortcuts; keyed by
+/// Graph::revision, every solve equals a fresh-workspace solve byte for
+/// byte. The relaxation, whose cold routing reads the same snapshot, is
+/// checked the same way.
+void adjacency_follows_the_graph_not_its_address() {
+  const Topology topo = fat_tree(4);
+  const Graph& a = topo.graph();
+  const auto n = a.num_nodes();
+  auto relabel = [n](NodeId u) { return (u + 7) % n; };
+  Graph b(n);
+  for (const Edge& e : a.edges()) b.add_edge(relabel(e.src), relabel(e.dst));
+  ASSERT_EQ(b.num_nodes(), a.num_nodes());
+  ASSERT_EQ(b.num_edges(), a.num_edges());
+
+  const NodeId h0 = topo.hosts()[0];
+  const NodeId h15 = topo.hosts()[15];
+  const NodeId h4 = topo.hosts()[4];
+  auto edge_switch = [&a](NodeId host) { return a.edge(a.out_edges(host)[0]).dst; };
+  const std::vector<Commodity> on_a = {{h0, h15, 2.0}, {h4, h15, 1.5}, {h0, h4, 1.0}};
+  const std::vector<Commodity> on_b = {{relabel(h0), relabel(h15), 2.0},
+                                       {relabel(h4), relabel(h15), 1.5},
+                                       {relabel(h0), relabel(h4), 1.0}};
+  const std::vector<Flow> flows_a = {{0, h0, h15, 6.0, 0.0, 3.0},
+                                     {1, h4, h15, 4.0, 1.0, 4.0},
+                                     {2, h0, h4, 2.0, 2.0, 5.0}};
+  std::vector<Flow> flows_b = flows_a;
+  for (Flow& fl : flows_b) {
+    fl.src = relabel(fl.src);
+    fl.dst = relabel(fl.dst);
+  }
+  const PowerModel model(0.5, 1.0, 2.0);
+  FrankWolfeOptions opts;
+  opts.max_iterations = 60;
+  opts.gap_tolerance = 1e-6;
+  RelaxationOptions relax_opts;
+  relax_opts.frank_wolfe = opts;
+
+  std::optional<Graph> slot;
+  ConvexMcfWorkspace ws;
+  RelaxationWorkspace relax_ws;
+  auto solve_both = [&](const std::vector<Commodity>& commodities,
+                        const std::vector<Flow>& flows) {
+    ConvexMcfProblem p = power_problem(*slot, model);
+    p.commodities = commodities;
+    expect_identical(solve_convex_mcf(p, opts, {}, &ws), solve_convex_mcf(p, opts));
+    const FractionalRelaxation reused =
+        solve_relaxation(*slot, flows, model, relax_opts, &relax_ws);
+    const FractionalRelaxation fresh = solve_relaxation(*slot, flows, model, relax_opts);
+    EXPECT_EQ(reused.lower_bound_energy, fresh.lower_bound_energy);
+    EXPECT_EQ(reused.final_flow, fresh.final_flow);
+    ASSERT_EQ(reused.candidates.size(), fresh.candidates.size());
+    for (std::size_t i = 0; i < fresh.candidates.size(); ++i) {
+      ASSERT_EQ(reused.candidates[i].paths.size(), fresh.candidates[i].paths.size());
+      for (std::size_t k = 0; k < fresh.candidates[i].paths.size(); ++k) {
+        EXPECT_EQ(reused.candidates[i].paths[k].path.edges,
+                  fresh.candidates[i].paths[k].path.edges);
+        EXPECT_EQ(reused.candidates[i].paths[k].weight,
+                  fresh.candidates[i].paths[k].weight);
+      }
+    }
+  };
+
+  slot.emplace(a);
+  const Graph* address = &*slot;
+  solve_both(on_a, flows_a);
+  slot.emplace(b);
+  ASSERT_EQ(&*slot, address);
+  solve_both(on_b, flows_b);
+  slot.emplace(a);
+  solve_both(on_a, flows_a);
+  // Grown in place: direct edge-switch shortcuts for h0 -> h15.
+  slot->add_edge(edge_switch(h0), edge_switch(h15));
+  slot->add_edge(edge_switch(h15), edge_switch(h0));
+  ASSERT_EQ(&*slot, address);
+  solve_both(on_a, flows_a);
+  // The shortcut carries flow, so a stale snapshot could not have matched.
+  ConvexMcfProblem p = power_problem(*slot, model);
+  p.commodities = on_a;
+  const auto shortcut = static_cast<std::size_t>(slot->num_edges() - 2);
+  EXPECT_GT(solve_convex_mcf(p, opts, {}, &ws).total_flow[shortcut], 0.0);
+}
+
 TEST(SparseEquivalence, WorkspaceReuseAcrossSolvesIsTransparent) {
   // Solving a sequence of different instances through one workspace must
-  // give the same answers as fresh solves.
+  // give the same answers as fresh solves, byte for byte.
   const Topology topo = fat_tree(4);
   ConvexMcfProblem p;
   p.graph = &topo.graph();  // default cost: x^2
@@ -312,15 +417,50 @@ TEST(SparseEquivalence, WorkspaceReuseAcrossSolvesIsTransparent) {
           {topo.hosts()[static_cast<std::size_t>(i + round)],
            topo.hosts()[static_cast<std::size_t>(15 - i)], 1.0 + i + round});
     }
-    const auto with_ws = solve_convex_mcf(p, opts, nullptr, &ws);
+    const auto with_ws = solve_convex_mcf(p, opts, {}, &ws);
     const auto fresh = solve_convex_mcf(p, opts);
-    ASSERT_EQ(with_ws.total_flow.size(), fresh.total_flow.size());
-    EXPECT_EQ(with_ws.iterations, fresh.iterations);
-    EXPECT_DOUBLE_EQ(with_ws.cost, fresh.cost);
-    for (std::size_t e = 0; e < fresh.total_flow.size(); ++e) {
-      EXPECT_DOUBLE_EQ(with_ws.total_flow[e], fresh.total_flow[e]) << "edge " << e;
-    }
+    expect_identical(with_ws, fresh);
   }
+  adjacency_follows_the_graph_not_its_address();
+}
+TEST(SparseEquivalence, RowIndexMatchesLinearScanAcrossCompaction) {
+  // SparseRowIndex against the linear-scan add it replaces: random adds
+  // over a 1000-edge space (rows grow well past the solver's
+  // 256-entry compaction), exact cancellations that compaction then
+  // erases, and a rebind after every batch — the solver's pattern.
+  // The rows must agree entry for entry, in order, bit for bit.
+  constexpr std::size_t kEdges = 1000;
+  SparseEdgeFlow scanned, indexed;
+  SparseRowIndex index;
+  Rng rng(77);
+  int compactions = 0;
+  for (int batch = 0; batch < 400; ++batch) {
+    index.bind(indexed, kEdges);
+    const auto adds = rng.uniform_int(1, 30);
+    for (std::int64_t k = 0; k < adds; ++k) {
+      EdgeId e;
+      double delta;
+      if (!scanned.empty() && rng.uniform() < 0.3) {
+        // Cancel an existing entry exactly.
+        const auto& [edge, value] = scanned[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(scanned.size()) - 1))];
+        e = edge;
+        delta = -value;
+      } else {
+        e = static_cast<EdgeId>(rng.uniform_int(0, kEdges - 1));
+        delta = rng.uniform(-0.5, 1.0);
+      }
+      dense_sparse_add(scanned, e, delta);
+      index.add(e, delta);
+    }
+    if (scanned.size() > 256) {
+      ++compactions;
+      std::erase_if(scanned, [](const auto& kv) { return kv.second < 1e-12; });
+      std::erase_if(indexed, [](const auto& kv) { return kv.second < 1e-12; });
+    }
+    ASSERT_EQ(scanned, indexed) << "batch " << batch;
+  }
+  EXPECT_GT(compactions, 10);
 }
 
 TEST(SparseEquivalence, ParallelOracleIsByteIdenticalToSequential) {
@@ -340,7 +480,7 @@ TEST(SparseEquivalence, ParallelOracleIsByteIdenticalToSequential) {
   const auto seq = solve_convex_mcf(p, sequential);
   ConvexMcfWorkspace ws;  // also exercises pool reuse across solves
   for (int round = 0; round < 3; ++round) {
-    const auto par = solve_convex_mcf(p, parallel, nullptr, &ws);
+    const auto par = solve_convex_mcf(p, parallel, {}, &ws);
     EXPECT_EQ(par.iterations, seq.iterations);
     EXPECT_EQ(par.cost, seq.cost);  // bitwise, not just near
     ASSERT_EQ(par.total_flow.size(), seq.total_flow.size());
